@@ -1,12 +1,13 @@
 // cluster_main — one QR-DTM replica as a standalone OS process.
 //
 // The real-transport deployment shape: harness::Cluster (or an operator)
-// launches one cluster_main per replica, each hosting a dtm::Server behind
-// a transport::TcpServer.  The data plane decodes dtm::Requests off
+// launches one cluster_main per replica, each hosting a transport::Replica
+// — the same server + WAL type the simulated cluster keeps in process —
+// behind a transport::TcpServer.  The data plane decodes dtm::Requests off
 // CRC-framed TCP and answers through the exact same Server::handle the
-// simulated cluster calls inline; the control plane implements the
-// management surface (seed / dump / crash / restart / probe / shutdown)
-// the harness otherwise performs by poking server objects directly.
+// simulated cluster calls inline.  The control plane decodes each
+// ControlRequest, calls the matching Replica method and encodes its result;
+// only suspending, resuming and exiting act on the process itself.
 //
 // Flags (every one mirrors a ClusterConfig field):
 //   --node=N            global node id (required)
@@ -35,30 +36,25 @@
 #include <string>
 
 #include "src/dtm/codec.hpp"
-#include "src/dtm/server.hpp"
+#include "src/transport/replica.hpp"
 #include "src/transport/tcp_server.hpp"
 #include "src/transport/topology.hpp"
 #include "src/transport/wire.hpp"
-#include "src/wal/persistence.hpp"
 
 namespace {
 
 using namespace acn;
 
 struct Options {
-  int node = -1;
-  std::uint32_t group = 0;
+  /// node/group/lease/window; `replica.wal` is set from `wal` after
+  /// parsing when --durability=wal.
+  transport::ReplicaConfig replica;
   bool group_set = false;
   std::string host = "127.0.0.1";
   int port = 0;
   std::string config_path;
-  std::int64_t lease_ns = 0;
-  std::int64_t window_ns = 0;
   std::string durability = "none";
-  std::string data_dir;
-  std::int64_t flush_ns = 2'000'000;
-  std::uint64_t snapshot_bytes = std::uint64_t{1} << 20;
-  bool fsync = true;
+  wal::WalConfig wal;
   std::size_t workers = 2;
 };
 
@@ -70,6 +66,7 @@ bool parse_i64(const char* text, std::int64_t& out) {
 
 std::optional<Options> parse_args(int argc, char** argv) {
   Options opt;
+  bool node_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&](const char* prefix) -> const char* {
@@ -79,10 +76,11 @@ std::optional<Options> parse_args(int argc, char** argv) {
     std::int64_t num = 0;
     if (const char* v = value("--node=")) {
       if (!parse_i64(v, num)) return std::nullopt;
-      opt.node = static_cast<int>(num);
+      opt.replica.node = static_cast<net::NodeId>(num);
+      node_set = true;
     } else if (const char* v = value("--group=")) {
       if (!parse_i64(v, num)) return std::nullopt;
-      opt.group = static_cast<std::uint32_t>(num);
+      opt.replica.group = static_cast<std::uint32_t>(num);
       opt.group_set = true;
     } else if (const char* v = value("--host=")) {
       opt.host = v;
@@ -93,22 +91,22 @@ std::optional<Options> parse_args(int argc, char** argv) {
       opt.config_path = v;
     } else if (const char* v = value("--lease-ns=")) {
       if (!parse_i64(v, num)) return std::nullopt;
-      opt.lease_ns = num;
+      opt.replica.lease_ns = num;
     } else if (const char* v = value("--window-ns=")) {
       if (!parse_i64(v, num)) return std::nullopt;
-      opt.window_ns = num;
+      opt.replica.window_ns = num;
     } else if (const char* v = value("--durability=")) {
       opt.durability = v;
     } else if (const char* v = value("--data-dir=")) {
-      opt.data_dir = v;
+      opt.wal.dir = v;
     } else if (const char* v = value("--flush-ns=")) {
       if (!parse_i64(v, num)) return std::nullopt;
-      opt.flush_ns = num;
+      opt.wal.flush_interval_ns = num;
     } else if (const char* v = value("--snapshot-bytes=")) {
       if (!parse_i64(v, num)) return std::nullopt;
-      opt.snapshot_bytes = static_cast<std::uint64_t>(num);
+      opt.wal.snapshot_every_bytes = static_cast<std::uint64_t>(num);
     } else if (arg == "--no-fsync") {
-      opt.fsync = false;
+      opt.wal.fsync = false;
     } else if (const char* v = value("--workers=")) {
       if (!parse_i64(v, num)) return std::nullopt;
       opt.workers = static_cast<std::size_t>(num);
@@ -117,7 +115,7 @@ std::optional<Options> parse_args(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (opt.node < 0) {
+  if (!node_set || opt.replica.node < 0) {
     std::fprintf(stderr, "--node is required\n");
     return std::nullopt;
   }
@@ -128,118 +126,69 @@ std::optional<Options> parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// One replica's full state: the server plus its optional durable backend,
-/// rebuilt the same way harness::Cluster builds its in-process replicas.
-struct Replica {
-  Options opt;
-  std::unique_ptr<wal::ReplicaPersistence> persistence;
-  std::unique_ptr<dtm::Server> server;
-
-  explicit Replica(Options options) : opt(std::move(options)) {
-    server = std::make_unique<dtm::Server>(opt.node, opt.window_ns,
-                                           opt.lease_ns);
-    server->set_group(opt.group);
-    if (opt.durability == "wal") {
-      wal::WalConfig wal_config;
-      wal_config.dir = opt.data_dir;
-      wal_config.flush_interval_ns = opt.flush_ns;
-      wal_config.snapshot_every_bytes = opt.snapshot_bytes;
-      wal_config.fsync = opt.fsync;
-      persistence =
-          std::make_unique<wal::ReplicaPersistence>(std::move(wal_config));
-      auto recovered = persistence->recover();
-      server->install_recovered(recovered.objects, recovered.open_prepares);
-      server->set_durability(persistence.get());
+/// Control plane: decode, run the op on the replica, encode the result.
+transport::ControlOutcome handle_control(transport::Replica& replica,
+                                         std::span<const std::uint8_t> body) {
+  using transport::ControlOp;
+  transport::ControlOutcome out;
+  transport::ControlReply reply;
+  try {
+    transport::ControlRequest req = transport::decode_control(body);
+    switch (req.op) {
+      case ControlOp::kPing:
+        break;
+      case ControlOp::kSeed:
+        // Initial seeding and anti-entropy delta pushes both land here.
+        reply.count = req.entries.size();
+        replica.install(std::move(req.entries));
+        break;
+      case ControlOp::kDump:
+        for (auto& [key, rec] : replica.dump())
+          reply.entries.push_back({key, std::move(rec.value), rec.version});
+        break;
+      case ControlOp::kRollWindows:
+        replica.roll_window();
+        break;
+      case ControlOp::kClassLevels:
+        reply.levels = replica.class_levels(req.classes);
+        break;
+      case ControlOp::kCrash:
+        // The process and its memory survive; kRestart decides what a
+        // reboot would have kept.
+        replica.crash(req.lose_disk);
+        out.action = transport::ControlAction::kSuspend;
+        break;
+      case ControlOp::kRestart:
+        replica.restart();
+        break;
+      case ControlOp::kResume:
+        out.action = transport::ControlAction::kResume;
+        break;
+      case ControlOp::kCheckpoint:
+        replica.checkpoint();
+        break;
+      case ControlOp::kExpireLeases:
+        reply.count = replica.expire_leases();
+        break;
+      case ControlOp::kIndoubtList:
+        reply.indoubt = replica.indoubt();
+        break;
+      case ControlOp::kProbe:
+        reply.probe = replica.probe();
+        break;
+      case ControlOp::kShutdown:
+        replica.shutdown();
+        out.action = transport::ControlAction::kShutdown;
+        break;
     }
+  } catch (const std::exception& e) {
+    reply = {};
+    reply.ok = false;
+    reply.error = e.what();
   }
-
-  void checkpoint() {
-    if (!persistence) return;
-    dtm::Server* s = server.get();
-    persistence->write_snapshot([s] {
-      return dtm::SnapshotData{s->store().snapshot(), s->open_prepares()};
-    });
-  }
-
-  transport::ControlOutcome handle_control(
-      std::span<const std::uint8_t> body) {
-    transport::ControlOutcome out;
-    transport::ControlReply reply;
-    try {
-      const transport::ControlRequest req = transport::decode_control(body);
-      switch (req.op) {
-        case transport::ControlOp::kPing:
-          break;
-        case transport::ControlOp::kSeed:
-          // Version-guarded installs: initial seeding and anti-entropy
-          // delta pushes both land here; racing against live commits can
-          // only lose to newer versions, same as the sim's catch-up.
-          for (const transport::SeedEntry& e : req.entries)
-            server->store().apply(e.key, e.value, e.version, store::kNoTx);
-          reply.count = req.entries.size();
-          break;
-        case transport::ControlOp::kDump:
-          for (auto& [key, rec] : server->store().snapshot())
-            reply.entries.push_back({key, std::move(rec.value), rec.version});
-          break;
-        case transport::ControlOp::kRollWindows:
-          server->roll_contention_window();
-          break;
-        case transport::ControlOp::kClassLevels:
-          reply.levels = server->contention().class_levels(req.classes);
-          break;
-        case transport::ControlOp::kCrash:
-          // The crash itself: suspend the data plane (below) and lose what
-          // the group-commit buffer never flushed; a disk-loss crash also
-          // wipes the directory.  The process and its memory survive —
-          // kRestart decides what a reboot would have kept.
-          if (persistence) {
-            persistence->drop_unflushed();
-            if (req.lose_disk) persistence->wipe();
-          }
-          out.action = transport::ControlAction::kSuspend;
-          break;
-        case transport::ControlOp::kRestart:
-          if (persistence) {
-            server->reset_volatile_state();
-            auto recovered = persistence->recover();
-            server->install_recovered(recovered.objects,
-                                      recovered.open_prepares);
-          }
-          break;
-        case transport::ControlOp::kResume:
-          out.action = transport::ControlAction::kResume;
-          break;
-        case transport::ControlOp::kCheckpoint:
-          checkpoint();
-          break;
-        case transport::ControlOp::kExpireLeases:
-          reply.count = server->expire_stale_leases();
-          break;
-        case transport::ControlOp::kIndoubtList:
-          reply.indoubt = server->indoubt_transactions();
-          break;
-        case transport::ControlOp::kProbe:
-          reply.probe.open_leases = server->open_lease_count();
-          reply.probe.protected_keys = server->store().protected_count();
-          reply.probe.wrong_group = server->stats().wrong_group.load();
-          reply.probe.indoubt = server->indoubt_count();
-          reply.probe.open_prepares = server->open_prepares().size();
-          break;
-        case transport::ControlOp::kShutdown:
-          if (persistence) persistence->flush();
-          out.action = transport::ControlAction::kShutdown;
-          break;
-      }
-    } catch (const std::exception& e) {
-      reply = {};
-      reply.ok = false;
-      reply.error = e.what();
-    }
-    out.reply_body = transport::encode_control_reply(reply);
-    return out;
-  }
-};
+  out.reply_body = transport::encode_control_reply(reply);
+  return out;
+}
 
 }  // namespace
 
@@ -256,30 +205,33 @@ int main(int argc, char** argv) {
                    error.c_str());
       return 2;
     }
-    if (const transport::TopologyNode* self = topo->find(opt.node)) {
-      if (!opt.group_set) opt.group = self->group;
+    if (const transport::TopologyNode* self = topo->find(opt.replica.node)) {
+      if (!opt.group_set) opt.replica.group = self->group;
       opt.host = self->host;
       if (opt.port == 0) opt.port = self->port;
     } else {
-      std::fprintf(stderr, "node %d not in topology %s\n", opt.node,
+      std::fprintf(stderr, "node %d not in topology %s\n", opt.replica.node,
                    opt.config_path.c_str());
       return 2;
     }
     if (opt.durability == "none" && topo->durability == "wal")
       opt.durability = "wal";
   }
-  if (opt.data_dir.empty())
-    opt.data_dir = "acn-data/node-" + std::to_string(opt.node);
+  if (opt.durability == "wal") {
+    if (opt.wal.dir.empty())
+      opt.wal.dir = "acn-data/node-" + std::to_string(opt.replica.node);
+    opt.replica.wal = opt.wal;
+  }
 
   try {
-    Replica replica(opt);
+    transport::Replica replica(opt.replica);
 
     transport::TcpServerConfig server_config;
     server_config.host = opt.host;
     server_config.port = opt.port;
     server_config.workers = opt.workers;
 
-    dtm::Server* server = replica.server.get();
+    dtm::Server* server = &replica.server();
     transport::TcpServer tcp(
         server_config,
         [server](std::int64_t from, std::span<const std::uint8_t> body)
@@ -297,17 +249,18 @@ int main(int argc, char** argv) {
           }
         },
         [&replica](std::span<const std::uint8_t> body) {
-          return replica.handle_control(body);
+          return handle_control(replica, body);
         });
 
-    std::printf("ACN_READY %d %d\n", opt.node, tcp.port());
+    const net::NodeId node = opt.replica.node;
+    std::printf("ACN_READY %d %d\n", node, tcp.port());
     std::fflush(stdout);
-    std::fprintf(stderr, "node %d (group %u) listening on %s:%d\n", opt.node,
-                 opt.group, opt.host.c_str(), tcp.port());
+    std::fprintf(stderr, "node %d (group %u) listening on %s:%d\n", node,
+                 opt.replica.group, opt.host.c_str(), tcp.port());
 
     tcp.wait_shutdown();
     tcp.stop();
-    std::fprintf(stderr, "node %d: clean shutdown\n", opt.node);
+    std::fprintf(stderr, "node %d: clean shutdown\n", node);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fatal: %s\n", e.what());

@@ -8,6 +8,7 @@
 
 #include "src/common/clock.hpp"
 #include "src/common/rng.hpp"
+#include "src/transport/replica.hpp"
 #include "src/transport/spawn.hpp"
 #include "src/transport/tcp_transport.hpp"
 #include "src/transport/topology.hpp"
@@ -57,54 +58,49 @@ Cluster::Cluster(ClusterConfig config)
   for (std::size_t g = 0; g < config_.n_groups; ++g)
     quorums_.push_back(make_group_quorums(config_, g));
 
-  if (config_.transport_mode == TransportMode::kTcp) {
+  replicas_.reserve(total_nodes_);
+  if (remote()) {
     spawn_fleet();
+    for (std::size_t i = 0; i < total_nodes_; ++i)
+      replicas_.push_back(
+          transport::remote_replica(*tcp_, static_cast<net::NodeId>(i)));
     return;
   }
 
   transport_ =
       std::make_unique<net::SimTransport<dtm::Request, dtm::Response>>(
           network_);
-  servers_.reserve(total_nodes_);
+  local_.reserve(total_nodes_);
   for (std::size_t i = 0; i < total_nodes_; ++i) {
-    servers_.push_back(std::make_unique<dtm::Server>(
-        static_cast<net::NodeId>(i), config_.contention_window_ns,
-        config_.prepare_lease_ns));
-    dtm::Server* server = servers_.back().get();
-    server->set_group(static_cast<std::uint32_t>(i / config_.n_servers));
-    auto handler = [server](net::NodeId from, const dtm::Request& request) {
-      return server->handle(from, request);
-    };
-    if (config_.async_servers)
-      network_.register_node_async(static_cast<net::NodeId>(i),
-                                   std::move(handler));
-    else
-      network_.register_node(static_cast<net::NodeId>(i), std::move(handler));
-  }
-
-  if (config_.durability.mode == DurabilityMode::kWal) {
-    persistence_.reserve(total_nodes_);
-    for (std::size_t i = 0; i < total_nodes_; ++i) {
-      wal::WalConfig wal_config;
-      wal_config.dir =
-          config_.durability.data_dir + "/node-" + std::to_string(i);
-      wal_config.flush_interval_ns = config_.durability.flush_interval_ns;
-      wal_config.snapshot_every_bytes =
-          config_.durability.snapshot_every_bytes;
-      wal_config.fsync = config_.durability.fsync;
-      persistence_.push_back(
-          std::make_unique<wal::ReplicaPersistence>(std::move(wal_config)));
-      // A cluster built over existing data directories is a restart: each
-      // replica comes back up from its own disk before taking traffic.
-      auto recovered = persistence_[i]->recover();
-      servers_[i]->install_recovered(recovered.objects,
-                                     recovered.open_prepares);
-      servers_[i]->set_durability(persistence_[i].get());
-    }
+    auto replica = std::make_unique<transport::Replica>(replica_config(i));
+    dtm::Server* server = &replica->server();
+    network_.register_node(
+        static_cast<net::NodeId>(i),
+        [server](net::NodeId from, const dtm::Request& request) {
+          return server->handle(from, request);
+        });
+    local_.push_back(replica.get());
+    replicas_.push_back(std::move(replica));
   }
 }
 
 Cluster::~Cluster() { shutdown_fleet(); }
+
+transport::ReplicaConfig Cluster::replica_config(std::size_t i) const {
+  transport::ReplicaConfig replica;
+  replica.node = static_cast<net::NodeId>(i);
+  replica.group = static_cast<std::uint32_t>(i / config_.n_servers);
+  replica.lease_ns = config_.prepare_lease_ns;
+  replica.window_ns = config_.contention_window_ns;
+  if (config_.durability.mode == DurabilityMode::kWal) {
+    wal::WalConfig& wal = replica.wal.emplace();
+    wal.dir = config_.durability.data_dir + "/node-" + std::to_string(i);
+    wal.flush_interval_ns = config_.durability.flush_interval_ns;
+    wal.snapshot_every_bytes = config_.durability.snapshot_every_bytes;
+    wal.fsync = config_.durability.fsync;
+  }
+  return replica;
+}
 
 void Cluster::spawn_fleet() {
   namespace fs = std::filesystem;
@@ -122,33 +118,33 @@ void Cluster::spawn_fleet() {
       config_.durability.mode == DurabilityMode::kWal ? "wal" : "none";
   std::map<net::NodeId, transport::Endpoint> peers;
   for (std::size_t i = 0; i < total_nodes_; ++i) {
+    // Each process builds its Replica from exactly the config the sim
+    // path would construct in process.
+    const transport::ReplicaConfig replica = replica_config(i);
     std::vector<std::string> args = {
-        "--node=" + std::to_string(i),
-        "--group=" + std::to_string(i / config_.n_servers),
+        "--node=" + std::to_string(replica.node),
+        "--group=" + std::to_string(replica.group),
         "--host=" + config_.tcp.host,
         "--port=0",
-        "--lease-ns=" + std::to_string(config_.prepare_lease_ns),
-        "--window-ns=" + std::to_string(config_.contention_window_ns),
+        "--lease-ns=" + std::to_string(replica.lease_ns),
+        "--window-ns=" + std::to_string(replica.window_ns),
         "--workers=" + std::to_string(config_.tcp.server_workers),
     };
-    if (config_.durability.mode == DurabilityMode::kWal) {
+    if (const auto& wal = replica.wal) {
       args.push_back("--durability=wal");
-      args.push_back("--data-dir=" + config_.durability.data_dir + "/node-" +
-                     std::to_string(i));
-      args.push_back("--flush-ns=" +
-                     std::to_string(config_.durability.flush_interval_ns));
+      args.push_back("--data-dir=" + wal->dir);
+      args.push_back("--flush-ns=" + std::to_string(wal->flush_interval_ns));
       args.push_back("--snapshot-bytes=" +
-                     std::to_string(config_.durability.snapshot_every_bytes));
-      if (!config_.durability.fsync) args.push_back("--no-fsync");
+                     std::to_string(wal->snapshot_every_bytes));
+      if (!wal->fsync) args.push_back("--no-fsync");
     }
     const int port = fleet_->spawn(
         binary, static_cast<int>(i), args,
         log_dir + "/node-" + std::to_string(i) + ".log",
         config_.tcp.ready_timeout);
-    peers[static_cast<net::NodeId>(i)] = {config_.tcp.host, port};
-    topology.nodes.push_back({static_cast<int>(i),
-                              static_cast<std::uint32_t>(i / config_.n_servers),
-                              config_.tcp.host, port});
+    peers[replica.node] = {config_.tcp.host, port};
+    topology.nodes.push_back(
+        {static_cast<int>(i), replica.group, config_.tcp.host, port});
   }
   // Record what ran: a failed CI job's artifacts then name every process.
   transport::save_topology(topology, log_dir + "/topology.toml");
@@ -162,21 +158,19 @@ void Cluster::spawn_fleet() {
 }
 
 bool Cluster::shutdown_fleet() {
-  if (!remote() || fleet_ == nullptr) return true;
-  for (std::size_t i = 0; i < total_nodes_; ++i) {
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kShutdown;
-    tcp().try_control(static_cast<net::NodeId>(i), req);
-  }
+  if (fleet_ == nullptr) return true;
+  for (auto& replica : replicas_) replica->shutdown();
   const bool clean = fleet_->wait_all(std::chrono::milliseconds(3000));
   fleet_->kill_all();
   return clean;
 }
 
-transport::TcpTransport& Cluster::tcp() {
-  if (tcp_ == nullptr)
-    throw std::logic_error("Cluster: control plane requires TransportMode::kTcp");
-  return *tcp_;
+transport::ReplicaControl& Cluster::replica(std::size_t i) {
+  if (i >= replicas_.size())
+    throw std::invalid_argument("Cluster: unknown replica id " +
+                                std::to_string(i) + " (cluster has " +
+                                std::to_string(replicas_.size()) + ")");
+  return *replicas_[i];
 }
 
 dtm::Server& Cluster::server(std::size_t i) {
@@ -184,7 +178,8 @@ dtm::Server& Cluster::server(std::size_t i) {
     throw std::logic_error(
         "Cluster::server: replicas are remote processes (TransportMode::kTcp);"
         " use store_snapshot()/mirror() or the control plane");
-  return *servers_[i];
+  replica(i);  // rejects an unknown id
+  return local_[i]->server();
 }
 
 std::vector<dtm::Server*> Cluster::servers() {
@@ -193,9 +188,18 @@ std::vector<dtm::Server*> Cluster::servers() {
         "Cluster::servers: replicas are remote processes (TransportMode::kTcp);"
         " use store_snapshot()/mirror() or the control plane");
   std::vector<dtm::Server*> out;
-  out.reserve(servers_.size());
-  for (auto& server : servers_) out.push_back(server.get());
+  out.reserve(local_.size());
+  for (transport::Replica* replica : local_) out.push_back(&replica->server());
   return out;
+}
+
+wal::ReplicaPersistence* Cluster::persistence(std::size_t i) {
+  return i < local_.size() ? local_[i]->persistence() : nullptr;
+}
+
+void Cluster::set_obs(obs::Observability* obs) noexcept {
+  config_.stub.obs = obs;
+  for (transport::Replica* replica : local_) replica->set_obs(obs);
 }
 
 dtm::DtmNetwork& Cluster::network() {
@@ -257,41 +261,17 @@ void Cluster::seed_object(const store::ObjectKey& key,
   if (group >= config_.n_groups)
     throw std::out_of_range("Cluster::seed_object: unknown group");
   const std::size_t base = group * config_.n_servers;
-  if (!remote()) {
-    for (std::size_t i = 0; i < config_.n_servers; ++i)
-      servers_[base + i]->store().seed(key, value);
-    return;
-  }
   for (std::size_t i = 0; i < config_.n_servers; ++i)
-    pending_seeds_[base + i].push_back({key, value});
+    replicas_[base + i]->seed(key, value);
 }
 
 void Cluster::flush_seeds() {
-  if (!remote()) return;
-  for (auto& [node, entries] : pending_seeds_) {
-    if (entries.empty()) continue;
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kSeed;
-    req.entries.reserve(entries.size());
-    for (auto& [key, value] : entries) req.entries.push_back({key, value, 1});
-    tcp().control(static_cast<net::NodeId>(node), req);
-    entries.clear();
-  }
-  pending_seeds_.clear();
+  for (auto& replica : replicas_) replica->flush_seeds();
 }
 
 std::vector<std::pair<store::ObjectKey, store::VersionedRecord>>
 Cluster::store_snapshot(std::size_t i) {
-  if (!remote()) return servers_[i]->store().snapshot();
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kDump;
-  auto reply = tcp().control(static_cast<net::NodeId>(i), req);
-  std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> out;
-  out.reserve(reply.entries.size());
-  for (auto& entry : reply.entries)
-    out.push_back(
-        {entry.key, {std::move(entry.value), entry.version}});
-  return out;
+  return replica(i).dump();
 }
 
 StateMirror Cluster::mirror() {
@@ -310,196 +290,130 @@ StateMirror Cluster::mirror() {
 
 std::size_t Cluster::expire_all_leases() {
   std::size_t expired = 0;
-  if (!remote()) {
-    for (auto& server : servers_) expired += server->expire_stale_leases();
-    return expired;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kExpireLeases;
-  for (std::size_t i = 0; i < total_nodes_; ++i)
-    if (const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req))
-      expired += reply->count;
+  for (auto& replica : replicas_) expired += replica->expire_leases();
   return expired;
 }
 
 std::vector<dtm::InDoubtTx> Cluster::indoubt_transactions(std::size_t i) {
-  if (!remote()) return servers_[i]->indoubt_transactions();
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kIndoubtList;
-  if (const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req))
-    return reply->indoubt;
-  return {};
+  return replica(i).indoubt();
 }
 
 transport::ReplicaProbe Cluster::probe_replica(std::size_t i) {
-  transport::ReplicaProbe probe;
-  if (!remote()) {
-    dtm::Server& server = *servers_[i];
-    probe.open_leases = server.open_lease_count();
-    probe.protected_keys = server.store().protected_count();
-    probe.wrong_group = server.stats().wrong_group.load();
-    probe.indoubt = server.indoubt_count();
-    probe.open_prepares = server.open_prepares().size();
-    return probe;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kProbe;
-  if (const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req))
-    probe = reply->probe;
-  return probe;
+  return replica(i).probe();
 }
 
 void Cluster::roll_contention_windows() {
-  if (!remote()) {
-    for (auto& server : servers_) server->roll_contention_window();
-    return;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kRollWindows;
-  for (std::size_t i = 0; i < total_nodes_; ++i)
-    tcp().try_control(static_cast<net::NodeId>(i), req);
+  for (auto& replica : replicas_) replica->roll_window();
 }
 
 std::vector<std::uint64_t> Cluster::class_levels(
     const std::vector<store::ClassId>& classes) {
   std::vector<std::uint64_t> levels(classes.size(), 0);
-  if (!remote()) {
-    for (auto& server : servers_) {
-      const auto server_levels = server->contention().class_levels(classes);
-      for (std::size_t i = 0; i < levels.size(); ++i)
-        levels[i] = std::max(levels[i], server_levels[i]);
-    }
-    return levels;
-  }
-  transport::ControlRequest req;
-  req.op = transport::ControlOp::kClassLevels;
-  req.classes = classes;
-  for (std::size_t i = 0; i < total_nodes_; ++i) {
-    const auto reply = tcp().try_control(static_cast<net::NodeId>(i), req);
-    if (!reply) continue;
-    for (std::size_t c = 0; c < levels.size() && c < reply->levels.size(); ++c)
-      levels[c] = std::max(levels[c], reply->levels[c]);
+  for (auto& replica : replicas_) {
+    const auto replica_levels = replica->class_levels(classes);
+    for (std::size_t c = 0; c < levels.size() && c < replica_levels.size(); ++c)
+      levels[c] = std::max(levels[c], replica_levels[c]);
   }
   return levels;
 }
 
 void Cluster::crash_node(net::NodeId id, bool lose_disk) {
-  if (remote()) {
-    // Socket-layer crash: the replica suspends its data plane (listener
-    // refuses data hellos, live data connections die) and sheds its
-    // group-commit buffer — then the client side also marks it down so
-    // calls fail fast instead of burning their deadlines.
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kCrash;
-    req.lose_disk = lose_disk;
-    tcp().control(id, req);
-    transport_->set_node_down(id, true);
-    return;
-  }
-  network_.set_node_down(id, true);
-  const auto i = static_cast<std::size_t>(id);
-  if (i < persistence_.size() && persistence_[i]) {
-    // What sat in the group-commit buffer never reached the disk.
-    persistence_[i]->drop_unflushed();
-    if (lose_disk) persistence_[i]->wipe();
-  }
+  transport::ReplicaControl& victim = replica(static_cast<std::size_t>(id));
+  // Stop traffic before the group-commit buffer is dropped: a commit the
+  // replica logged after the drop would otherwise survive the crash.  On
+  // TCP this fails the harness's calls fast instead of letting them burn
+  // their deadlines.
+  transport_->set_node_down(id, true);
+  victim.crash(lose_disk);
 }
 
 void Cluster::checkpoint_node(std::size_t i) {
-  if (remote()) {
-    if (config_.durability.mode != DurabilityMode::kWal) return;
-    transport::ControlRequest req;
-    req.op = transport::ControlOp::kCheckpoint;
-    tcp().try_control(static_cast<net::NodeId>(i), req);
-    return;
-  }
-  if (i >= persistence_.size() || !persistence_[i]) return;
-  dtm::Server* server = servers_[i].get();
-  persistence_[i]->write_snapshot([server] {
-    return dtm::SnapshotData{server->store().snapshot(),
-                             server->open_prepares()};
-  });
+  transport::ReplicaControl& target = replica(i);
+  if (config_.durability.mode == DurabilityMode::kWal) target.checkpoint();
 }
 
 void Cluster::checkpoint_all() {
-  if (remote()) {
-    for (std::size_t i = 0; i < total_nodes_; ++i) checkpoint_node(i);
-    return;
-  }
-  for (std::size_t i = 0; i < persistence_.size(); ++i) checkpoint_node(i);
+  for (std::size_t i = 0; i < total_nodes_; ++i) checkpoint_node(i);
 }
 
 std::size_t Cluster::restart_node(net::NodeId id, CatchUpScope scope) {
-  if (id < 0 || static_cast<std::size_t>(id) >= total_nodes_)
-    throw std::invalid_argument("Cluster::restart_node: unknown server id");
-  if (remote()) return restart_remote_node(id, scope);
-  dtm::Server& joiner = *servers_[static_cast<std::size_t>(id)];
-
+  transport::ReplicaControl& joiner = replica(static_cast<std::size_t>(id));
   const std::uint64_t start_ns = now_ns();
-  wal::ReplicaPersistence* wal = persistence(static_cast<std::size_t>(id));
-  if (wal != nullptr) {
-    // Disk-faithful restart: the in-process "crash" left the replica's
-    // memory intact, so first shed it — what a real reboot would keep is
-    // exactly what recover() reads back from the log and snapshot.
-    joiner.reset_volatile_state();
-    auto recovered = wal->recover();
-    joiner.install_recovered(recovered.objects, recovered.open_prepares);
-  }
+  const bool durable = config_.durability.mode == DurabilityMode::kWal;
 
-  // Pick the peers to sync from — always within the joiner's own quorum
-  // group: the groups' keyspaces are disjoint, so a foreign peer holds
-  // nothing this replica should serve (and syncing from one would install
-  // keys the group does not own).  A read quorum of the group suffices:
-  // every committed write reached a write quorum, and read and write
-  // quorums intersect, so the newest version of every key is present among
-  // the sources.
-  const std::vector<net::NodeId> sources = catchup_sources(id, scope);
+  // Disk-faithful reboot: a durable replica sheds its volatile state and
+  // recovers from its own log and snapshot, so the peer sync below becomes
+  // a *delta* pass fetching just what the log lost.
+  joiner.restart();
 
-  // Gather the newest version of every key across the sources, then install
-  // whatever is newer than the local replica.  apply() is version-guarded,
-  // so racing against live commit traffic can only lose to newer versions.
+  // The joiner's post-recovery versions, so the peer sync ships a delta.
+  std::unordered_map<store::ObjectKey, store::Version, store::ObjectKeyHash>
+      local;
+  for (const auto& [key, rec] : joiner.dump()) local[key] = rec.version;
+
+  // Gather the newest version of every key across the sources — always
+  // within the joiner's own quorum group (see catchup_sources).  A source
+  // the data plane treats as dead, or whose process cannot be reached, is
+  // skipped; dumps ride the control plane on TCP, so a data-plane
+  // partition cannot starve recovery.
   std::unordered_map<store::ObjectKey, store::VersionedRecord,
                      store::ObjectKeyHash>
       newest;
-  for (const net::NodeId src : sources) {
-    if (network_.node_down(src)) continue;
-    for (auto& [key, rec] : servers_[static_cast<std::size_t>(src)]
-                                ->store()
-                                .snapshot()) {
+  for (const net::NodeId src : catchup_sources(id, scope)) {
+    if (transport_->node_down(src)) continue;
+    transport::StoreSnapshot snapshot;
+    try {
+      snapshot = replica(static_cast<std::size_t>(src)).dump();
+    } catch (const transport::TransportError&) {
+      continue;
+    }
+    for (auto& [key, rec] : snapshot) {
       auto [it, inserted] = newest.try_emplace(key, rec);
-      if (!inserted && rec.version > it->second.version) it->second = rec;
+      if (!inserted && rec.version > it->second.version)
+        it->second = std::move(rec);
     }
   }
-  std::size_t updated = 0;
-  for (const auto& [key, rec] : newest) {
-    const auto local = joiner.store().version_of(key);
-    if (local.has_value() && *local >= rec.version) continue;
-    joiner.store().apply(key, rec.value, rec.version, store::kNoTx);
-    ++updated;
-  }
 
-  network_.set_node_down(id, false);
+  // Push whatever is newer than the joiner's copy.  The install is
+  // version-guarded, so racing live commit traffic can only lose to newer
+  // versions.
+  std::vector<transport::SeedEntry> delta;
+  for (auto& [key, rec] : newest) {
+    const auto it = local.find(key);
+    if (it != local.end() && it->second >= rec.version) continue;
+    delta.push_back({key, std::move(rec.value), rec.version});
+  }
+  const std::size_t updated = delta.size();
+  if (!delta.empty()) joiner.install(std::move(delta));
+
+  // Reopen the replica's data plane, then let traffic reach it.
+  joiner.resume();
+  transport_->set_node_down(id, false);
 
   obs::Observability* obs = config_.stub.obs;
   if (obs != nullptr) {
     obs->recovery_catchup_keys.add(updated);
-    if (wal != nullptr) {
+    if (durable) {
       // For a durable node the peer sync was a delta pass on top of log
       // replay; `updated` is what the log could not cover.
       obs->recovery_delta_keys.add(updated);
       obs->recovery_time_ns.observe(now_ns() - start_ns);
     }
   }
-  if (wal != nullptr) {
-    // Make the recovered + caught-up state durable in one snapshot; this
-    // also compacts the log the replay just consumed.
-    checkpoint_node(static_cast<std::size_t>(id));
-  }
+  // Make the recovered + caught-up state durable in one snapshot; this also
+  // compacts the log the replay just consumed.
+  if (durable) joiner.checkpoint();
   return updated;
 }
 
 std::vector<net::NodeId> Cluster::catchup_sources(net::NodeId id,
                                                   CatchUpScope scope) {
+  // Sources come from the joiner's own quorum group: the groups' keyspaces
+  // are disjoint, so a foreign peer holds nothing this replica should serve
+  // (and syncing from one would install keys the group does not own).  A
+  // read quorum of the group suffices: every committed write reached a
+  // write quorum, and read and write quorums intersect, so the newest
+  // version of every key is present among the sources.
   const std::size_t joiner_group = group_of(id);
   const std::vector<net::NodeId> peers = group_members(joiner_group);
   std::vector<net::NodeId> sources;
@@ -517,71 +431,6 @@ std::vector<net::NodeId> Cluster::catchup_sources(net::NodeId id,
         if (peer != id) sources.push_back(peer);
   }
   return sources;
-}
-
-std::size_t Cluster::restart_remote_node(net::NodeId id, CatchUpScope scope) {
-  const std::uint64_t start_ns = now_ns();
-  const bool durable = config_.durability.mode == DurabilityMode::kWal;
-
-  // Disk-faithful reboot, remotely: the replica sheds its volatile state
-  // and recovers from its own log/snapshot (a no-op for volatile nodes,
-  // which simply kept their store — the "offline node rejoins" case).
-  transport::ControlRequest restart;
-  restart.op = transport::ControlOp::kRestart;
-  tcp().control(id, restart);
-
-  // The joiner's post-recovery versions, so the peer sync ships a delta.
-  std::unordered_map<store::ObjectKey, store::Version, store::ObjectKeyHash>
-      local;
-  for (auto& [key, rec] : store_snapshot(static_cast<std::size_t>(id)))
-    local[key] = rec.version;
-
-  // Same source-selection policy as the sim path, same intersection-property
-  // argument; dumps ride the control plane so a data-plane partition cannot
-  // starve recovery.
-  std::unordered_map<store::ObjectKey, store::VersionedRecord,
-                     store::ObjectKeyHash>
-      newest;
-  for (const net::NodeId src : catchup_sources(id, scope)) {
-    if (transport_->node_down(src)) continue;
-    transport::ControlRequest dump;
-    dump.op = transport::ControlOp::kDump;
-    const auto reply = tcp().try_control(src, dump);
-    if (!reply) continue;
-    for (auto& entry : reply->entries) {
-      store::VersionedRecord rec{std::move(entry.value), entry.version};
-      auto [it, inserted] = newest.try_emplace(entry.key, rec);
-      if (!inserted && rec.version > it->second.version)
-        it->second = std::move(rec);
-    }
-  }
-
-  transport::ControlRequest push;
-  push.op = transport::ControlOp::kSeed;
-  for (auto& [key, rec] : newest) {
-    const auto it = local.find(key);
-    if (it != local.end() && it->second >= rec.version) continue;
-    push.entries.push_back({key, rec.value, rec.version});
-  }
-  const std::size_t updated = push.entries.size();
-  if (!push.entries.empty()) tcp().control(id, push);
-
-  // Reopen the data plane server-side, then client-side.
-  transport::ControlRequest resume;
-  resume.op = transport::ControlOp::kResume;
-  tcp().control(id, resume);
-  transport_->set_node_down(id, false);
-
-  obs::Observability* obs = config_.stub.obs;
-  if (obs != nullptr) {
-    obs->recovery_catchup_keys.add(updated);
-    if (durable) {
-      obs->recovery_delta_keys.add(updated);
-      obs->recovery_time_ns.observe(now_ns() - start_ns);
-    }
-  }
-  if (durable) checkpoint_node(static_cast<std::size_t>(id));
-  return updated;
 }
 
 }  // namespace acn::harness

@@ -16,7 +16,6 @@
 
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dtm/quorum_stub.hpp"
@@ -31,6 +30,9 @@
 namespace acn::transport {
 class TcpTransport;
 class ProcessFleet;
+class Replica;
+class ReplicaControl;
+struct ReplicaConfig;
 struct ReplicaProbe;
 }  // namespace acn::transport
 
@@ -109,9 +111,6 @@ struct ClusterConfig {
   /// Prepare-lease lifetime on every server; <= 0 disables expiry (prepared
   /// locks then live until an explicit commit or abort).
   std::int64_t prepare_lease_ns = 0;
-  /// Give each server its own mailbox worker thread (see net::Mailbox)
-  /// instead of executing handlers inline on client threads.
-  bool async_servers = false;
   DurabilityConfig durability;
   dtm::StubConfig stub;
   /// Simulated in-process replicas (default) or a spawned multi-process
@@ -145,6 +144,8 @@ class Cluster {
   std::size_t size() const noexcept { return total_nodes_; }
   /// True when the replicas are remote cluster_main processes — server(i)
   /// and servers() are then unavailable (use store_snapshot() / mirror()).
+  /// Every accessor taking a replica id throws std::invalid_argument for an
+  /// id >= size(), in both modes.
   bool remote() const noexcept {
     return config_.transport_mode == TransportMode::kTcp;
   }
@@ -263,20 +264,14 @@ class Cluster {
   void checkpoint_node(std::size_t i);
   void checkpoint_all();
 
-  /// Node `i`'s durable backend, or nullptr when durability is off.
-  wal::ReplicaPersistence* persistence(std::size_t i) {
-    return i < persistence_.size() ? persistence_[i].get() : nullptr;
-  }
+  /// Node `i`'s durable backend, or nullptr when durability is off, the
+  /// replica is remote, or `i` names no replica.
+  wal::ReplicaPersistence* persistence(std::size_t i);
 
   /// Route RPC instrumentation from stubs made after this call — and the
   /// servers' lease/recovery counters — into `obs` (the driver installs its
   /// bundle before spawning clients).
-  void set_obs(obs::Observability* obs) noexcept {
-    config_.stub.obs = obs;
-    for (auto& server : servers_) server->set_obs(obs);
-    for (auto& persistence : persistence_)
-      if (persistence) persistence->set_obs(obs);
-  }
+  void set_obs(obs::Observability* obs) noexcept;
 
   const ClusterConfig& config() const noexcept { return config_; }
 
@@ -287,25 +282,26 @@ class Cluster {
   bool shutdown_fleet();
 
  private:
+  transport::ReplicaConfig replica_config(std::size_t i) const;
   void spawn_fleet();
-  transport::TcpTransport& tcp();
+  /// Replica `i`'s management handle; throws std::invalid_argument for an
+  /// unknown id.
+  transport::ReplicaControl& replica(std::size_t i);
   std::vector<net::NodeId> catchup_sources(net::NodeId id, CatchUpScope scope);
-  std::size_t restart_remote_node(net::NodeId id, CatchUpScope scope);
 
   ClusterConfig config_;
   std::size_t total_nodes_ = 0;
-  // Declared before servers_ so each sink outlives the server pointing at it.
-  std::vector<std::unique_ptr<wal::ReplicaPersistence>> persistence_;
-  std::vector<std::unique_ptr<dtm::Server>> servers_;
+  /// One management handle per replica: in-process Replicas in sim mode,
+  /// RemoteReplicas over the control plane in TCP mode.
+  std::vector<std::unique_ptr<transport::ReplicaControl>> replicas_;
+  /// Sim mode: the same replicas as their concrete type (server() and
+  /// persistence() access); empty in TCP mode.
+  std::vector<transport::Replica*> local_;
   dtm::DtmNetwork network_;
   /// The mode-selected transport every stub and fault plan routes through.
   std::unique_ptr<dtm::DtmTransport> transport_;
   transport::TcpTransport* tcp_ = nullptr;  // transport_'s TCP face, if any
   std::unique_ptr<transport::ProcessFleet> fleet_;
-  /// TCP mode: seeds buffered per node until flush_seeds().
-  std::unordered_map<std::size_t,
-                     std::vector<std::pair<store::ObjectKey, store::Record>>>
-      pending_seeds_;
   /// One quorum system per group, indexed by group id.
   std::vector<std::unique_ptr<quorum::QuorumSystem>> quorums_;
   /// Varies the read quorum successive restart_node() calls sync from, so

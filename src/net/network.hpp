@@ -53,7 +53,6 @@
 
 #include "src/common/latency_model.hpp"
 #include "src/common/rng.hpp"
-#include "src/net/mailbox.hpp"
 #include "src/net/net_stats.hpp"
 
 namespace acn::net {
@@ -125,23 +124,7 @@ class Network {
   void register_node(NodeId id, Handler handler) {
     auto& node = node_slot(id);
     node.handler = guarded(std::move(handler));
-    node.mailbox.reset();
     node.down.store(false);
-  }
-
-  /// Register node `id` with its own mailbox worker thread: requests are
-  /// enqueued and processed asynchronously, so a multicall overlaps
-  /// processing across nodes.
-  void register_node_async(NodeId id, Handler handler) {
-    auto& node = node_slot(id);
-    node.mailbox = std::make_shared<Mailbox<Req, Res>>(guarded(std::move(handler)));
-    node.handler = nullptr;
-    node.down.store(false);
-  }
-
-  bool node_is_async(NodeId id) const {
-    return static_cast<std::size_t>(id) < nodes_.size() &&
-           nodes_[static_cast<std::size_t>(id)].mailbox != nullptr;
   }
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -271,11 +254,9 @@ class Network {
     require_not_in_handler("multicall");
     std::vector<CallResult<Res>> out(targets.size());
     std::vector<Nanos> fwd(targets.size(), Nanos{0});
-    std::vector<std::future<Res>> pending(targets.size());
     Nanos worst{0};
 
-    // Dispatch phase: inline nodes execute immediately, mailbox nodes are
-    // enqueued so their processing overlaps.
+    // Dispatch phase: handlers execute inline, in target order.
     for (std::size_t i = 0; i < targets.size(); ++i) {
       const NodeId to = targets[i];
       if (!deliverable(to)) {
@@ -297,17 +278,12 @@ class Network {
       const std::size_t req_bytes = req.approx_size();
       stats_.on_message(req_bytes);
       fwd[i] = latency_->delay(from, to, req_bytes) + leg_extra(from, to);
-      Node& node = nodes_[static_cast<std::size_t>(to)];
-      if (node.mailbox)
-        pending[i] = node.mailbox->submit(from, std::move(req));
-      else
-        out[i].response = node.handler(from, req);
+      out[i].response = invoke(to, from, req);
     }
 
     // Gather phase.
     for (std::size_t i = 0; i < targets.size(); ++i) {
       if (out[i].error != NetErrorCode::kOk) continue;
-      if (pending[i].valid()) out[i].response = pending[i].get();
       const std::size_t res_bytes = out[i].response.approx_size();
       const Nanos back =
           latency_->delay(targets[i], from, res_bytes) + leg_extra(targets[i], from);
@@ -332,17 +308,13 @@ class Network {
  private:
   struct Node {
     Handler handler;
-    std::shared_ptr<Mailbox<Req, Res>> mailbox;
     std::atomic<bool> down{true};
 
     Node() = default;
     Node(Node&& other) noexcept
-        : handler(std::move(other.handler)),
-          mailbox(std::move(other.mailbox)),
-          down(other.down.load()) {}
+        : handler(std::move(other.handler)), down(other.down.load()) {}
     Node& operator=(Node&& other) noexcept {
       handler = std::move(other.handler);
-      mailbox = std::move(other.mailbox);
       down.store(other.down.load());
       return *this;
     }
@@ -368,15 +340,13 @@ class Network {
   }
 
   Res invoke(NodeId to, NodeId from, const Req& req) {
-    Node& node = nodes_[static_cast<std::size_t>(to)];
-    if (node.mailbox) return node.mailbox->submit(from, req).get();
-    return node.handler(from, req);
+    return nodes_[static_cast<std::size_t>(to)].handler(from, req);
   }
 
   bool deliverable(NodeId to) const noexcept {
     const auto idx = static_cast<std::size_t>(to);
     return idx < nodes_.size() &&
-           (nodes_[idx].handler || nodes_[idx].mailbox) &&
+           nodes_[idx].handler &&
            !nodes_[idx].down.load();
   }
 

@@ -94,7 +94,7 @@ struct ControlRequest {
   bool lose_disk = false;               // kCrash
 };
 
-/// Cheap gauges the sim harness reads straight off the Server object.
+/// Cheap gauges a replica reports (Replica::probe).
 struct ReplicaProbe {
   std::uint64_t open_leases = 0;
   std::uint64_t protected_keys = 0;

@@ -11,6 +11,7 @@
 #include "src/chaos/chaos.hpp"
 #include "src/common/clock.hpp"
 #include "src/harness/driver.hpp"
+#include "src/transport/wire.hpp"
 #include "src/workloads/bank.hpp"
 #include "src/workloads/workload.hpp"
 
@@ -213,6 +214,13 @@ TEST(Recovery, CrashRejoinCatchesUpFromReadQuorum) {
 TEST(Recovery, RestartUnknownNodeThrows) {
   Cluster cluster(fast_config(4));
   EXPECT_THROW(cluster.restart_node(99), std::invalid_argument);
+  // Every accessor taking a replica id rejects one past the end the same
+  // way, instead of indexing out of bounds.
+  EXPECT_THROW(cluster.crash_node(4), std::invalid_argument);
+  EXPECT_THROW(cluster.server(4), std::invalid_argument);
+  EXPECT_THROW(cluster.store_snapshot(4), std::invalid_argument);
+  EXPECT_THROW(cluster.probe_replica(4), std::invalid_argument);
+  EXPECT_THROW(cluster.indoubt_transactions(4), std::invalid_argument);
 }
 
 TEST(Controller, FiresScheduleAndStopHeals) {

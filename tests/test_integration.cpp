@@ -3,6 +3,12 @@
 // adaptation behaviour.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <thread>
+#include <utility>
+
 #include "src/harness/driver.hpp"
 #include "src/harness/report.hpp"
 #include "src/workloads/bank.hpp"
@@ -169,16 +175,48 @@ TEST(Integration, CheckpointProtocolThroughDriver) {
   EXPECT_EQ(result.stats.partial_aborts, 0u);  // restores instead
 }
 
-TEST(Integration, AsyncMailboxClusterKeepsInvariants) {
-  auto cluster_config = quick_cluster();
-  cluster_config.async_servers = true;
-  Cluster cluster(cluster_config);
+// Building a submitter registers its client node with the transport, which
+// is not safe against other clients' in-flight calls: the driver must build
+// every submitter before the first transaction starts.
+TEST(Integration, SubmittersAllBuiltBeforeFirstTransaction) {
+  struct NoopSubmitter final : Submitter {
+    std::function<void()> on_first_tx;
+    void run(Protocol, const RunOptions&, const std::vector<ir::Record>&,
+             ExecStats&) override {
+      if (on_first_tx) std::exchange(on_first_tx, nullptr)();
+    }
+  };
+  Cluster cluster(quick_cluster());
   workloads::Bank bank({.n_branches = 16, .n_accounts = 128});
   bank.seed(cluster.servers());
   auto config = quick_driver();
-  config.intervals = 2;
-  const auto result = run(cluster, bank, Protocol::kAcn, config);
-  EXPECT_GT(result.stats.commits, 0u);
+  config.intervals = 1;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t built = 0;
+  bool first_tx_started = false;
+  const std::thread::id test_thread = std::this_thread::get_id();
+  config.make_submitter = [&](Cluster&, std::size_t t, const ExecutorConfig&,
+                              std::uint64_t) -> std::unique_ptr<Submitter> {
+    std::unique_lock lock(mutex);
+    // Built inside a worker: hold this one until another client's first
+    // transaction has started, so a driver that builds submitters in its
+    // workers fails on every run instead of by chance.
+    if (t > 0 && std::this_thread::get_id() != test_thread)
+      cv.wait(lock, [&] { return first_tx_started; });
+    ++built;
+    auto submitter = std::make_unique<NoopSubmitter>();
+    submitter->on_first_tx = [&] {
+      std::lock_guard first_lock(mutex);
+      EXPECT_EQ(built, config.n_clients)
+          << "a transaction ran before every submitter was built";
+      first_tx_started = true;
+      cv.notify_all();
+    };
+    return submitter;
+  };
+  run(cluster, bank, Protocol::kFlat, config);
+  EXPECT_EQ(built, config.n_clients);
 }
 
 TEST(Integration, LevelMajorityQuorumClusterWorks) {

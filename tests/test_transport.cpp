@@ -494,16 +494,22 @@ TEST(ClusterTcp, ControlPlaneProbesAndMirrorsReplicas) {
   EXPECT_TRUE(cluster.shutdown_fleet());
 }
 
-TEST(ClusterTcp, RemoteCrashRestartCatchesUpFromPeers) {
-  // Four replica processes, one group (root + 3 children: the write quorum
-  // — root plus 2 of 3 children — survives one leaf crash; a 3-node tree's
-  // write quorum is all three nodes, so nothing could commit).  Crash a
-  // leaf, keep committing on the surviving quorum, then rejoin it — the
-  // restart path must ship the missed writes over the control plane and
+/// The crash/rejoin catch-up path is one algorithm over both transports:
+/// in-process replicas and a spawned cluster_main fleet must both rejoin.
+class CrashRestart : public ::testing::TestWithParam<harness::TransportMode> {};
+
+TEST_P(CrashRestart, CatchesUpFromPeers) {
+  // Four replicas, one group (root + 3 children: the write quorum — root
+  // plus 2 of 3 children — survives one leaf crash; a 3-node tree's write
+  // quorum is all three nodes, so nothing could commit).  Crash a leaf,
+  // keep committing on the surviving quorum, then rejoin it — the restart
+  // path must ship the missed writes (over the control plane on TCP) and
   // lift the suspension.
   const shard::ShardMap map = range_map(1);
-  harness::Cluster cluster(
-      fleet_config(/*per_group=*/4, /*groups=*/1, "transport-test-logs"));
+  harness::ClusterConfig config =
+      fleet_config(/*per_group=*/4, /*groups=*/1, "transport-test-logs");
+  config.transport_mode = GetParam();
+  harness::Cluster cluster(config);
   for (std::uint64_t id = 0; id < 8; ++id)
     seed_sharded(cluster, map, ObjectKey{1, id}, Record{100});
   cluster.flush_seeds();
@@ -543,6 +549,14 @@ TEST(ClusterTcp, RemoteCrashRestartCatchesUpFromPeers) {
   transfer(coordinator, ObjectKey{1, 6}, ObjectKey{1, 7});
   EXPECT_TRUE(cluster.shutdown_fleet());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, CrashRestart,
+    ::testing::Values(harness::TransportMode::kSim,
+                      harness::TransportMode::kTcp),
+    [](const ::testing::TestParamInfo<harness::TransportMode>& info) {
+      return info.param == harness::TransportMode::kSim ? "Sim" : "Tcp";
+    });
 
 }  // namespace
 }  // namespace acn::transport
