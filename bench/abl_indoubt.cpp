@@ -240,26 +240,6 @@ ScenarioResult run_scenario(const bench::BenchOptions& args,
   std::atomic<std::size_t> never_committed{0};
   chaos.start();
 
-  // Cooperative termination runs DURING the chaos window, not only at
-  // stop(): a fleet transaction whose own release or phase 2 got eaten by
-  // the fault parks in-doubt with its keys protected, and the retrying
-  // clients would otherwise wait on keys only termination can free — a
-  // deadlock with resolution deferred to after the joins.  The pump is
-  // idempotent and version-guarded, so racing live traffic is safe.
-  std::atomic<bool> pumping{true};
-  harness::IndoubtReport pumped;
-  std::thread resolver([&] {
-    while (pumping.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(Ms{25});
-      for (dtm::Server* server : cluster.servers())
-        server->expire_stale_leases();
-      const auto round = harness::resolve_indoubt(cluster);
-      pumped.queries += round.queries;
-      pumped.resolved_commit += round.resolved_commit;
-      pumped.resolved_abort += round.resolved_abort;
-    }
-  });
-
   for (std::size_t i = 0; i < kClients; ++i)
     threads.emplace_back([&, i] {
       acn::ExecStats es;
@@ -310,16 +290,11 @@ ScenarioResult run_scenario(const bench::BenchOptions& args,
   // drain faster than the lease, and termination only sees the prepare
   // after it has parked in-doubt.
   std::this_thread::sleep_for(Ms{120});
-  pumping.store(false, std::memory_order_relaxed);
-  resolver.join();
   // stop() heals, parks every overdue cross-shard lease and runs
-  // cooperative termination; "healed" implies nothing is left in-doubt —
-  // the pump's resolutions fold into the same report.
+  // cooperative termination; "healed" implies nothing is left in-doubt.
+  // The report also counts what the controller's pump resolved mid-run.
   chaos.stop();
   result.indoubt = chaos.indoubt_report();
-  result.indoubt.queries += pumped.queries;
-  result.indoubt.resolved_commit += pumped.resolved_commit;
-  result.indoubt.resolved_abort += pumped.resolved_abort;
   result.handoffs = victim.stats().indoubt_handoffs.load();
   if (never_committed.load() != 0) fail("a live op never committed");
 

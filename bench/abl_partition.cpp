@@ -30,8 +30,9 @@
 // with Bank submitted through shard::Client, and the orphan becomes a
 // cross-shard prepare spanning two groups.  Cross-shard prepares are never
 // presumed aborted by expiry — they park in-doubt — so the orphan check
-// changes shape: ChaosController::stop() must resolve it (to abort; the
-// coordinator recorded no decision), nothing may stay parked, and the
+// changes shape: the ChaosController's in-doubt pump must resolve it
+// during the run (to abort; the coordinator recorded no decision) so the
+// clients retrying its keys get through, nothing may stay parked, and the
 // fleet-wide atomicity_breaches counter must be zero at exit.  The Bank
 // sum is verified after the heal, when no prepare can still be in flight.
 #include <algorithm>
@@ -85,8 +86,8 @@ int main(int argc, char** argv) {
   // An orphaned 2PC: prepare two cold account keys and walk away.  Nothing
   // will ever commit or abort this transaction.  Unsharded, only lease
   // expiry can release the keys; sharded, the orphan spans two groups, so
-  // expiry parks it in-doubt and cooperative termination at the heal must
-  // release it instead.
+  // expiry parks it in-doubt and cooperative termination must release it
+  // instead.
   std::unique_ptr<shard::CrossShardCoordinator> orphan_owner;
   std::optional<shard::ShardTx> orphan_tx;
   if (sharded) {
@@ -150,7 +151,8 @@ int main(int argc, char** argv) {
     // Traffic has stopped; stop() drains remaining events and heals —
     // rejoining late_victim from one read quorum against a quiet cluster,
     // then expiring stale leases and resolving every in-doubt prepare (the
-    // sharded orphan resolves here: no decision record, presumed abort).
+    // sharded orphan was resolved mid-run by the pump: no decision record,
+    // presumed abort).
     chaos.stop();
     if (sharded) bank.check_invariants(cluster.servers());
 
@@ -197,7 +199,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (sharded) {
-      // The cross-shard orphan must have been terminated at the heal, not
+      // The cross-shard orphan must have been terminated cooperatively, not
       // presumed aborted by expiry, and the hard invariant must hold:
       // no coordinator anywhere half-committed a transaction.
       const harness::IndoubtReport& indoubt = chaos.indoubt_report();

@@ -179,16 +179,23 @@ void ChaosController::start() {
   stopping_ = false;
   healed_ = false;
   thread_ = std::thread([this] { run(); });
+  pump_ = std::thread([this] { pump(); });
+}
+
+void ChaosController::halt() {
+  std::lock_guard<std::mutex> guard(mutex_);
+  stopping_ = true;
+  cv_.notify_all();
 }
 
 void ChaosController::stop(bool drain) {
   if (thread_.joinable()) {
-    if (drain) {
-      std::lock_guard<std::mutex> guard(mutex_);
-      stopping_ = true;
-      cv_.notify_all();
-    }
+    if (drain) halt();
     thread_.join();
+  }
+  if (pump_.joinable()) {
+    halt();
+    pump_.join();
   }
   heal_all();
 }
@@ -204,6 +211,29 @@ void ChaosController::run() {
     fire(event);
     ++events_fired_;
   }
+}
+
+void ChaosController::pump() {
+  // A transaction whose phase 2 or release the faults ate parks in-doubt
+  // with its keys protected, and clients retrying those keys would wait on
+  // it until stop().  Termination is idempotent and version-guarded, so
+  // racing live traffic is safe.
+  constexpr std::chrono::milliseconds kPeriod{25};
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!cv_.wait_for(lock, kPeriod, [this] { return stopping_; })) {
+    lock.unlock();
+    cluster_.expire_all_leases();
+    resolve_indoubt();
+    lock.lock();
+  }
+}
+
+void ChaosController::resolve_indoubt() {
+  const harness::IndoubtReport report = harness::resolve_indoubt(cluster_);
+  indoubt_report_.queries += report.queries;
+  indoubt_report_.resolved_commit += report.resolved_commit;
+  indoubt_report_.resolved_abort += report.resolved_abort;
+  indoubt_report_.unresolved = report.unresolved;
 }
 
 void ChaosController::fire(const FaultEvent& event) {
@@ -344,11 +374,8 @@ void ChaosController::heal_all() {
   // every node back up the coordinator decision record is reachable, so
   // the report's `unresolved` should be zero here.
   cluster_.expire_all_leases();
-  const harness::IndoubtReport report = harness::resolve_indoubt(cluster_);
-  indoubt_report_.queries += report.queries;
-  indoubt_report_.resolved_commit += report.resolved_commit;
-  indoubt_report_.resolved_abort += report.resolved_abort;
-  indoubt_report_.unresolved = report.unresolved;
+  resolve_indoubt();
+  const harness::IndoubtReport& report = indoubt_report_;
   if (verbose_ && (report.resolved_commit + report.resolved_abort +
                    report.unresolved) > 0) {
     std::printf(

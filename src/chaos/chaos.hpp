@@ -7,7 +7,10 @@
 // individual benchmarks: the same plan drives abl_faults, abl_partition and
 // the chaos tests, and stop() always heals the cluster (clears partitions,
 // restores drop/latency baselines, rejoins crashed nodes with catch-up) so
-// a run never leaks fault state into the final invariant check.
+// a run never leaks fault state into the final invariant check.  While
+// started, a second thread expires overdue leases and runs cooperative
+// termination (harness::resolve_indoubt) every 25 ms, so a prepare parked
+// in-doubt mid-run does not hold its keys until stop().
 //
 // Times are offsets from start() in milliseconds.  Events fire in time
 // order; ties fire in insertion order.  The plan itself contains no
@@ -119,14 +122,15 @@ class ChaosController {
   ChaosController& operator=(const ChaosController&) = delete;
   ~ChaosController();
 
-  /// Begin replaying the plan (event times are offsets from this call).
+  /// Begin replaying the plan (event times are offsets from this call) and
+  /// start the in-doubt resolver pump.
   void start();
 
-  /// Wait for the remaining events, then heal the cluster: clear any
-  /// partition, restore drop/latency baselines, rejoin still-crashed nodes
-  /// with catch-up, bring client nodes back up — and finally expire stale
-  /// leases and run cooperative termination (harness::resolve_indoubt), so
-  /// "healed" means no cross-shard prepare is still parked in-doubt.
+  /// Wait for the remaining events, stop the pump, then heal the cluster:
+  /// clear any partition, restore drop/latency baselines, rejoin
+  /// still-crashed nodes with catch-up, bring client nodes back up — and
+  /// finally expire stale leases and run cooperative termination once more,
+  /// so "healed" means no cross-shard prepare is still parked in-doubt.
   /// Idempotent.  `drain` skips the wait and fires nothing further (the
   /// heal still runs).
   void stop(bool drain = false);
@@ -134,7 +138,8 @@ class ChaosController {
   std::size_t events_fired() const noexcept { return events_fired_; }
   /// Keys advanced by catch-up across every restart this controller ran.
   std::size_t keys_caught_up() const noexcept { return keys_caught_up_; }
-  /// Cooperative-termination outcome of the final heal (see stop()).
+  /// Cooperative-termination outcome of the pump and the final heal
+  /// (`unresolved` is the final heal's; see stop()).
   const harness::IndoubtReport& indoubt_report() const noexcept {
     return indoubt_report_;
   }
@@ -158,6 +163,9 @@ class ChaosController {
 
  private:
   void run();
+  void pump();
+  void resolve_indoubt();
+  void halt();
   void fire(const FaultEvent& event);
   void heal_all();
 
@@ -182,6 +190,8 @@ class ChaosController {
 
   std::size_t events_fired_ = 0;
   std::size_t keys_caught_up_ = 0;
+
+  std::thread pump_;  // started by start(), joined by stop()
 };
 
 }  // namespace acn::chaos

@@ -111,7 +111,9 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
   std::atomic<bool> stop{false};
   IntervalSeries commits(config.intervals);
   IntervalSeries aborts(config.intervals);
-  LatencyHistogram latency;
+  // Per client thread, merged after the join: no shared cache line on the
+  // commit path.
+  std::vector<obs::HistogramData> thread_latency(config.n_clients);
   std::vector<ExecStats> thread_stats(config.n_clients);
   std::vector<std::string> thread_errors(config.n_clients);
 
@@ -166,6 +168,7 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
         }
       }
       ExecStats& stats = thread_stats[t];
+      obs::HistogramData& latency = thread_latency[t];
       std::uint64_t aborts_seen = 0;
       try {
         while (!stop.load(std::memory_order_relaxed)) {
@@ -238,6 +241,8 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
     result.abort_rate.push_back(static_cast<double>(aborts.at(k)) / seconds);
   }
   for (const auto& stats : thread_stats) result.stats.merge(stats);
+  obs::HistogramData latency;
+  for (const auto& thread : thread_latency) latency.merge(thread);
   for (const auto& controller : controllers) {
     result.adaptations += controller->adaptations();
     result.recompositions += controller->recompositions();

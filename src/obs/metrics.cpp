@@ -10,6 +10,11 @@ namespace acn::obs {
 // ---------------------------------------------------------------------------
 // HistogramData
 
+void HistogramData::merge(const HistogramData& other) noexcept {
+  for (std::size_t i = 0; i < kBuckets; ++i) counts[i] += other.counts[i];
+  sum += other.sum;
+}
+
 std::uint64_t HistogramData::count() const noexcept {
   std::uint64_t total = 0;
   for (const auto c : counts) total += c;
@@ -23,17 +28,16 @@ double HistogramData::mean() const noexcept {
 
 std::uint64_t HistogramData::percentile(double q) const noexcept {
   const std::uint64_t n = count();
-  if (n == 0 || bounds.empty()) return 0;
+  if (n == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(n)));
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
+  for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += counts[i];
-    if (seen >= rank && counts[i] > 0)
-      return i < bounds.size() ? bounds[i] : bounds.back();
+    if (seen >= rank) return upper_bound(i);
   }
-  return bounds.back();
+  return upper_bound(kBuckets - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -65,8 +69,8 @@ Snapshot Snapshot::since(const Snapshot& earlier) const {
   }
   for (auto& h : out.histograms) {
     const HistogramData* before = earlier.histogram(h.name);
-    if (!before || before->counts.size() != h.data.counts.size()) continue;
-    for (std::size_t i = 0; i < h.data.counts.size(); ++i)
+    if (!before) continue;
+    for (std::size_t i = 0; i < HistogramData::kBuckets; ++i)
       h.data.counts[i] = h.data.counts[i] >= before->counts[i]
                              ? h.data.counts[i] - before->counts[i]
                              : 0;
@@ -112,11 +116,16 @@ void append_json_object(std::string& out, const Seq& items, Emit&& emit) {
   out += '}';
 }
 
-void append_u64_array(std::string& out, const std::vector<std::uint64_t>& v) {
+/// Nonzero buckets only, as [upper_bound, count] pairs.
+void append_buckets(std::string& out, const HistogramData& h) {
   out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(v[i]);
+  bool first = true;
+  for (std::size_t i = 0; i < HistogramData::kBuckets; ++i) {
+    if (h.counts[i] == 0) continue;
+    if (!first) out += ',';
+    first = false;
+    out += '[' + std::to_string(HistogramData::upper_bound(i)) + ',' +
+           std::to_string(h.counts[i]) + ']';
   }
   out += ']';
 }
@@ -137,14 +146,12 @@ std::string Snapshot::to_json() const {
   });
   out += ",\"histograms\":";
   append_json_object(out, histograms, [](std::string& o, const Histogram& h) {
-    o += "{\"bounds\":";
-    append_u64_array(o, h.data.bounds);
-    o += ",\"counts\":";
-    append_u64_array(o, h.data.counts);
-    o += ",\"count\":" + std::to_string(h.data.count());
+    o += "{\"count\":" + std::to_string(h.data.count());
     o += ",\"sum\":" + std::to_string(h.data.sum);
     o += ",\"p50\":" + std::to_string(h.data.percentile(0.50));
     o += ",\"p99\":" + std::to_string(h.data.percentile(0.99));
+    o += ",\"buckets\":";
+    append_buckets(o, h.data);
     o += '}';
   });
   out += '}';
@@ -216,28 +223,11 @@ MetricsRegistry::Gauge MetricsRegistry::gauge(std::string name) {
   return Gauge(desc.gauge_cell);
 }
 
-MetricsRegistry::Histogram MetricsRegistry::histogram(
-    std::string name, std::vector<std::uint64_t> bounds) {
-  if (bounds.empty() || !std::is_sorted(bounds.begin(), bounds.end()))
-    throw std::invalid_argument("histogram bounds must be ascending and non-empty");
-  // Cells: one count per bound, one overflow count, one sum.
-  Desc& desc = register_metric(std::move(name), Kind::kHistogram,
-                               bounds.size() + 2);
-  if (desc.bounds.empty()) desc.bounds = std::move(bounds);
-  return Histogram(this, &desc);
-}
-
-std::vector<std::uint64_t> MetricsRegistry::exponential_bounds(
-    std::uint64_t first, double factor, std::size_t n) {
-  std::vector<std::uint64_t> bounds;
-  bounds.reserve(n);
-  double bound = static_cast<double>(first);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto rounded = static_cast<std::uint64_t>(bound);
-    if (bounds.empty() || rounded > bounds.back()) bounds.push_back(rounded);
-    bound *= factor;
-  }
-  return bounds;
+MetricsRegistry::Histogram MetricsRegistry::histogram(std::string name) {
+  // Cells: one count per bucket, then the sum.
+  const Desc& desc = register_metric(std::move(name), Kind::kHistogram,
+                                     HistogramData::kBuckets + 1);
+  return Histogram(this, desc.cell_base);
 }
 
 MetricsRegistry::Shard& MetricsRegistry::local_shard() {
@@ -261,14 +251,13 @@ void MetricsRegistry::bump(std::uint32_t cell, std::uint64_t delta) noexcept {
   local_shard().cells[cell].fetch_add(delta, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::observe(const Desc& desc, std::uint64_t value) noexcept {
+void MetricsRegistry::observe(std::uint32_t cell_base,
+                              std::uint64_t value) noexcept {
   if (!enabled()) return;
-  const auto& bounds = desc.bounds;
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
   Shard& shard = local_shard();
-  shard.cells[desc.cell_base + bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.cells[desc.cell_base + bounds.size() + 1].fetch_add(
+  shard.cells[cell_base + HistogramData::bucket_of(value)].fetch_add(
+      1, std::memory_order_relaxed);
+  shard.cells[cell_base + HistogramData::kBuckets].fetch_add(
       value, std::memory_order_relaxed);
 }
 
@@ -293,13 +282,11 @@ Snapshot MetricsRegistry::snapshot() const {
       case Kind::kHistogram: {
         Snapshot::Histogram hist;
         hist.name = desc.name;
-        hist.data.bounds = desc.bounds;
-        hist.data.counts.resize(desc.bounds.size() + 1);
-        for (std::size_t i = 0; i <= desc.bounds.size(); ++i)
+        for (std::size_t i = 0; i < HistogramData::kBuckets; ++i)
           hist.data.counts[i] =
               cell_sum(desc.cell_base + static_cast<std::uint32_t>(i));
-        hist.data.sum = cell_sum(
-            desc.cell_base + static_cast<std::uint32_t>(desc.bounds.size()) + 1);
+        hist.data.sum =
+            cell_sum(desc.cell_base + HistogramData::kBuckets);
         out.histograms.push_back(std::move(hist));
         break;
       }

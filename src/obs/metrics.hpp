@@ -1,5 +1,5 @@
-// Metrics registry: lock-cheap named counters, gauges, and fixed-bucket
-// latency histograms for the transaction runtime and the harness.
+// Metrics registry: lock-cheap named counters, gauges, and log-linear
+// histograms for the transaction runtime and the harness.
 //
 // Hot-path design: every counter/histogram update lands in a *per-thread
 // shard* (a flat array of relaxed atomics private to the writing thread),
@@ -13,7 +13,11 @@
 // initial state of the runtime enabled flag; set_enabled() overrides it.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -31,18 +35,42 @@ namespace acn::obs {
 #endif
 inline constexpr bool kObsDefaultEnabled = ACN_OBS_DEFAULT_ENABLED != 0;
 
-/// Merged view of one histogram: `counts[i]` holds observations with
-/// value <= bounds[i] (first matching bound wins); `counts.back()` is the
-/// overflow bucket for values above every bound.
+/// The one histogram: a fixed log-linear layout over all of uint64.  Values
+/// 0..15 get a bucket each; above that every power of two splits into 8
+/// equal sub-buckets, so a bucket's inclusive upper bound is less than
+/// 12.5% above any value in it.  A plain value type: the registry merges
+/// its per-thread cells into one, and the driver keeps one per client
+/// thread and merges them after the join.
 struct HistogramData {
-  std::vector<std::uint64_t> bounds;  // ascending inclusive upper bounds
-  std::vector<std::uint64_t> counts;  // bounds.size() + 1 entries
+  static constexpr std::size_t kBuckets = 496;
+
+  /// Bucket index of `value`: the top four significant bits (the octave's
+  /// leading 1 plus a 3-bit sub-bucket) stacked above the 16 exact ones.
+  static constexpr std::size_t bucket_of(std::uint64_t value) noexcept {
+    const int shift = std::max(static_cast<int>(std::bit_width(value)) - 4, 0);
+    return static_cast<std::size_t>(shift) * 8 +
+           static_cast<std::size_t>(value >> shift);
+  }
+  /// Largest value that lands in `bucket`.
+  static constexpr std::uint64_t upper_bound(std::size_t bucket) noexcept {
+    if (bucket < 16) return bucket;
+    const std::size_t shift = bucket / 8 - 1;
+    // Wraps to UINT64_MAX for the last bucket, as it should.
+    return (std::uint64_t{bucket % 8 + 9} << shift) - 1;
+  }
+
+  std::array<std::uint64_t, kBuckets> counts{};
   std::uint64_t sum = 0;
 
+  void add(std::uint64_t value) noexcept {
+    ++counts[bucket_of(value)];
+    sum += value;
+  }
+  void merge(const HistogramData& other) noexcept;
   std::uint64_t count() const noexcept;
   double mean() const noexcept;
-  /// Upper bound of the bucket containing the q-quantile (q in [0,1]);
-  /// overflow observations report the last finite bound.  0 when empty.
+  /// Upper bound of the bucket holding the q-quantile (q in [0,1]): at
+  /// least the true value and less than 1.125x it.  0 when empty.
   std::uint64_t percentile(double q) const noexcept;
 };
 
@@ -89,9 +117,11 @@ class MetricsRegistry {
   struct Desc;
 
  public:
-  /// `max_cells` bounds the total shard cells (1 per counter,
-  /// bounds+2 per histogram); registration beyond it throws.
-  explicit MetricsRegistry(std::size_t max_cells = 1024);
+  /// `max_cells` bounds the total shard cells (1 per counter, kBuckets+1
+  /// per histogram); registration beyond it throws.  The default holds
+  /// Observability's 11 histograms (5467 cells) and its counters with room
+  /// to spare.
+  explicit MetricsRegistry(std::size_t max_cells = 8192);
   ~MetricsRegistry();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -143,28 +173,21 @@ class MetricsRegistry {
    public:
     Histogram() = default;
     void observe(std::uint64_t value) const noexcept {
-      if (registry_) registry_->observe(*desc_, value);
+      if (registry_) registry_->observe(cell_, value);
     }
 
    private:
     friend class MetricsRegistry;
-    Histogram(MetricsRegistry* registry, const Desc* desc)
-        : registry_(registry), desc_(desc) {}
+    Histogram(MetricsRegistry* registry, std::uint32_t cell)
+        : registry_(registry), cell_(cell) {}
     MetricsRegistry* registry_ = nullptr;
-    const Desc* desc_ = nullptr;
+    std::uint32_t cell_ = 0;
   };
 
   /// Register (or look up, by exact name + kind) a metric.  Thread-safe.
   Counter counter(std::string name);
   Gauge gauge(std::string name);
-  /// `bounds` must be non-empty, ascending inclusive upper bounds.
-  Histogram histogram(std::string name, std::vector<std::uint64_t> bounds);
-
-  /// Convenience bucket layout: {first, first*factor, ...} (n bounds),
-  /// suitable for nanosecond latencies.
-  static std::vector<std::uint64_t> exponential_bounds(std::uint64_t first,
-                                                       double factor,
-                                                       std::size_t n);
+  Histogram histogram(std::string name);
 
   /// Merge all shards into a consistent-enough view (relaxed reads; exact
   /// once writers are quiescent).
@@ -176,8 +199,7 @@ class MetricsRegistry {
   struct Desc {
     std::string name;
     Kind kind;
-    std::uint32_t cell_base = 0;            // first shard cell
-    std::vector<std::uint64_t> bounds;      // histograms only
+    std::uint32_t cell_base = 0;  // first shard cell
     std::atomic<std::int64_t>* gauge_cell = nullptr;
   };
 
@@ -188,7 +210,7 @@ class MetricsRegistry {
   };
 
   void bump(std::uint32_t cell, std::uint64_t delta) noexcept;
-  void observe(const Desc& desc, std::uint64_t value) noexcept;
+  void observe(std::uint32_t cell_base, std::uint64_t value) noexcept;
   Shard& local_shard();
   Desc& register_metric(std::string name, Kind kind, std::size_t n_cells);
 

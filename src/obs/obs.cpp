@@ -18,44 +18,26 @@ const char* abort_reason_name(int reason) noexcept {
   return "unknown";
 }
 
-namespace {
-// 100ns .. ~1.3s in half-decade-ish steps: covers one RPC through a
-// many-retry transaction on the simulated cluster.
-std::vector<std::uint64_t> latency_bounds() {
-  return MetricsRegistry::exponential_bounds(100, 2.0, 24);
-}
-
-// 1..16 keys per batched read, plus an overflow bucket for wider fan-out.
-std::vector<std::uint64_t> batch_bounds() {
-  return {1, 2, 3, 4, 6, 8, 12, 16};
-}
-
-// 1..256 transactions per planned epoch (the planner's cut size).
-std::vector<std::uint64_t> epoch_bounds() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256};
-}
-}  // namespace
-
 Observability::Observability(ObsConfig config)
     : tracer(config.ring_capacity),
       tx_commits(metrics.counter("tx.commit")),
       tx_aborts_full(metrics.counter("tx.abort.full")),
       tx_aborts_partial(metrics.counter("tx.abort.partial")),
       blocks_executed(metrics.counter("block.executed")),
-      tx_latency_ns(metrics.histogram("tx.latency_ns", latency_bounds())),
-      block_latency_ns(metrics.histogram("block.latency_ns", latency_bounds())),
+      tx_latency_ns(metrics.histogram("tx.latency_ns")),
+      block_latency_ns(metrics.histogram("block.latency_ns")),
       rpc_reads(metrics.counter("rpc.read")),
       rpc_batched_reads(metrics.counter("rpc.read.batched")),
       rpcs_saved(metrics.counter("rpc.read.saved")),
-      read_batch_size(metrics.histogram("rpc.read.batch_size", batch_bounds())),
+      read_batch_size(metrics.histogram("rpc.read.batch_size")),
       rpc_validates(metrics.counter("rpc.validate")),
       rpc_prepares(metrics.counter("rpc.prepare")),
       rpc_commits(metrics.counter("rpc.commit")),
       rpc_aborts(metrics.counter("rpc.abort")),
       rpc_contention_queries(metrics.counter("rpc.contention")),
-      rpc_read_ns(metrics.histogram("rpc.read_ns", latency_bounds())),
-      rpc_prepare_ns(metrics.histogram("rpc.prepare_ns", latency_bounds())),
-      rpc_commit_ns(metrics.histogram("rpc.commit_ns", latency_bounds())),
+      rpc_read_ns(metrics.histogram("rpc.read_ns")),
+      rpc_prepare_ns(metrics.histogram("rpc.prepare_ns")),
+      rpc_commit_ns(metrics.histogram("rpc.commit_ns")),
       rpc_lease_expired(metrics.counter("rpc.lease.expired")),
       rpc_commit_replays(metrics.counter("rpc.commit.replayed")),
       rpc_commit_rejected(metrics.counter("rpc.commit.rejected")),
@@ -78,28 +60,25 @@ Observability::Observability(ObsConfig config)
       wal_replay_records(metrics.counter("wal.replay.records")),
       snapshot_write_bytes(metrics.counter("snapshot.write.bytes")),
       recovery_delta_keys(metrics.counter("recovery.delta.keys")),
-      recovery_time_ns(metrics.histogram("recovery.time_ns", latency_bounds())),
+      recovery_time_ns(metrics.histogram("recovery.time_ns")),
       prefetch_hits(metrics.counter("exec.prefetch.hit")),
       prefetch_wasted(metrics.counter("exec.prefetch.waste")),
       rpc_busy_backoff_ns(metrics.counter("rpc.busy.backoff_ns")),
       sched_admit_immediate(metrics.counter("sched.admit.immediate")),
       sched_admit_waits(metrics.counter("sched.admit.waits")),
       sched_admit_aged(metrics.counter("sched.admit.aged")),
-      sched_admit_wait_ns(
-          metrics.histogram("sched.admit.wait_ns", latency_bounds())),
+      sched_admit_wait_ns(metrics.histogram("sched.admit.wait_ns")),
       sched_admit_window(metrics.gauge("sched.admit.window_milli")),
       sched_queue_acquires(metrics.counter("sched.queue.acquires")),
       sched_queue_waits(metrics.counter("sched.queue.waits")),
       sched_queue_timeouts(metrics.counter("sched.queue.timeouts")),
-      sched_queue_wait_ns(
-          metrics.histogram("sched.queue.wait_ns", latency_bounds())),
-      sched_queue_depth(
-          metrics.histogram("sched.queue.depth", batch_bounds())),
+      sched_queue_wait_ns(metrics.histogram("sched.queue.wait_ns")),
+      sched_queue_depth(metrics.histogram("sched.queue.depth")),
       sched_hot_keys(metrics.gauge("sched.queue.hot_keys")),
       queue_epochs(metrics.counter("queue.epoch.planned")),
       queue_epoch_commits(metrics.counter("queue.epoch.commits")),
       queue_epoch_retries(metrics.counter("queue.epoch.retries")),
-      queue_epoch_size(metrics.histogram("queue.epoch.size", epoch_bounds())),
+      queue_epoch_size(metrics.histogram("queue.epoch.size")),
       queue_spec_commits(metrics.counter("queue.spec.commits")),
       queue_spec_reads(metrics.counter("queue.spec.reads")),
       queue_spec_mispredicts(metrics.counter("queue.spec.mispredict")),

@@ -1,4 +1,4 @@
-// Unit tests for src/common: RNG, samplers, statistics, latency models.
+// Unit tests for src/common: RNG, samplers, interval series, latency models.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -111,59 +111,6 @@ TEST(Nurand, StaysInRange) {
   }
 }
 
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 1.25, 1e-12);
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  OnlineStats all, a, b;
-  Rng rng(6);
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.uniform01() * 10;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
-TEST(LatencyHistogram, PercentilesBracketValues) {
-  LatencyHistogram h;
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_LE(h.percentile(0.0), 2u);
-  EXPECT_GE(h.percentile(1.0), 512u);
-  const auto p50 = h.percentile(0.5);
-  EXPECT_GE(p50, 256u);
-  EXPECT_LE(p50, 1024u);
-}
-
-TEST(LatencyHistogram, EmptyIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(0.5), 0u);
-}
-
 TEST(IntervalSeries, CountsPerSlotAndIgnoresOutOfRange) {
   IntervalSeries s(3);
   s.add(0);
@@ -177,13 +124,6 @@ TEST(IntervalSeries, CountsPerSlotAndIgnoresOutOfRange) {
   const auto snap = s.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[1], 5u);
-}
-
-TEST(PercentileOf, InterpolatesExactly) {
-  EXPECT_DOUBLE_EQ(percentile_of({1, 2, 3, 4}, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_of({1, 2, 3, 4}, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile_of({1, 2, 3, 4}, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(percentile_of({}, 0.5), 0.0);
 }
 
 TEST(LatencyModel, ZeroAndLoopback) {

@@ -5,8 +5,11 @@
 // nesting, none under flat).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,7 +186,7 @@ TEST(Metrics, KindMismatchThrows) {
   MetricsRegistry registry;
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), std::logic_error);
-  EXPECT_THROW(registry.histogram("x", {1, 2}), std::logic_error);
+  EXPECT_THROW(registry.histogram("x"), std::logic_error);
 }
 
 TEST(Metrics, GaugeSetAndAdd) {
@@ -196,9 +199,31 @@ TEST(Metrics, GaugeSetAndAdd) {
 }
 
 TEST(Metrics, HistogramBucketMath) {
+  // 0..15 exact, then 8 sub-buckets per power of two.
+  EXPECT_EQ(HistogramData::bucket_of(0), 0u);
+  EXPECT_EQ(HistogramData::bucket_of(15), 15u);
+  EXPECT_EQ(HistogramData::bucket_of(16), 16u);
+  EXPECT_EQ(HistogramData::bucket_of(17), 16u);
+  EXPECT_EQ(HistogramData::bucket_of(18), 17u);
+  EXPECT_EQ(HistogramData::bucket_of(31), 23u);
+  EXPECT_EQ(HistogramData::bucket_of(32), 24u);
+  EXPECT_EQ(HistogramData::bucket_of(~std::uint64_t{0}),
+            HistogramData::kBuckets - 1);
+  EXPECT_EQ(HistogramData::upper_bound(15), 15u);
+  EXPECT_EQ(HistogramData::upper_bound(16), 17u);
+  EXPECT_EQ(HistogramData::upper_bound(HistogramData::kBuckets - 1),
+            ~std::uint64_t{0});
+  // The buckets tile uint64 with no gap or overlap.
+  for (std::size_t i = 0; i < HistogramData::kBuckets; ++i) {
+    const std::uint64_t top = HistogramData::upper_bound(i);
+    EXPECT_EQ(HistogramData::bucket_of(top), i);
+    if (i + 1 < HistogramData::kBuckets) {
+      EXPECT_EQ(HistogramData::bucket_of(top + 1), i + 1);
+    }
+  }
+
   MetricsRegistry registry;
-  auto h = registry.histogram("lat", {10, 100, 1000});
-  // One per bucket: <=10, <=100, <=1000, overflow.
+  auto h = registry.histogram("lat");
   h.observe(10);
   h.observe(11);
   h.observe(1000);
@@ -206,11 +231,8 @@ TEST(Metrics, HistogramBucketMath) {
   const auto snap = registry.snapshot();
   const HistogramData* data = snap.histogram("lat");
   ASSERT_NE(data, nullptr);
-  ASSERT_EQ(data->counts.size(), 4u);
-  EXPECT_EQ(data->counts[0], 1u);
-  EXPECT_EQ(data->counts[1], 1u);
-  EXPECT_EQ(data->counts[2], 1u);
-  EXPECT_EQ(data->counts[3], 1u);
+  for (const std::uint64_t v : {10u, 11u, 1000u, 5000u})
+    EXPECT_EQ(data->counts[HistogramData::bucket_of(v)], 1u) << v;
   EXPECT_EQ(data->count(), 4u);
   EXPECT_EQ(data->sum, 10u + 11u + 1000u + 5000u);
   EXPECT_DOUBLE_EQ(data->mean(), (10.0 + 11 + 1000 + 5000) / 4.0);
@@ -218,49 +240,85 @@ TEST(Metrics, HistogramBucketMath) {
 
 TEST(Metrics, HistogramPercentiles) {
   MetricsRegistry registry;
-  auto h = registry.histogram("p", {10, 100, 1000});
-  for (int i = 0; i < 90; ++i) h.observe(5);     // bucket <=10
-  for (int i = 0; i < 9; ++i) h.observe(50);     // bucket <=100
-  h.observe(999);                                // bucket <=1000
+  auto h = registry.histogram("p");
+  for (int i = 0; i < 90; ++i) h.observe(5);  // exact bucket
+  for (int i = 0; i < 9; ++i) h.observe(50);  // bucket [48, 51]
+  h.observe(999);                             // bucket [960, 1023]
   const auto snap = registry.snapshot();
   const HistogramData* data = snap.histogram("p");
   ASSERT_NE(data, nullptr);
-  EXPECT_EQ(data->percentile(0.5), 10u);
-  EXPECT_EQ(data->percentile(0.95), 100u);
-  EXPECT_EQ(data->percentile(1.0), 1000u);
+  EXPECT_EQ(data->percentile(0.0), 5u);
+  EXPECT_EQ(data->percentile(0.5), 5u);
+  EXPECT_EQ(data->percentile(0.95), 51u);
+  EXPECT_EQ(data->percentile(1.0), 1023u);
 }
 
-TEST(Metrics, HistogramOverflowReportsLastBound) {
-  MetricsRegistry registry;
-  auto h = registry.histogram("o", {10, 100});
-  h.observe(100000);
-  const auto snap = registry.snapshot();
-  const HistogramData* data = snap.histogram("o");
-  ASSERT_NE(data, nullptr);
-  EXPECT_EQ(data->percentile(0.5), 100u);  // clamped to last finite bound
+TEST(Metrics, HistogramSeparatesValuesWithinOneOctave) {
+  // True p50s of 1.1 ms and 1.5 ms share the power of two [2^20, 2^21):
+  // a power-of-two histogram reports 2097152 for both.
+  auto spread_around = [](std::uint64_t median_ns) {
+    HistogramData h;
+    for (std::uint64_t i = 0; i <= 1000; ++i)
+      h.add(median_ns / 2 + median_ns * i / 1000);
+    return h;
+  };
+  const HistogramData fast = spread_around(1'100'000);
+  const HistogramData slow = spread_around(1'500'000);
+  EXPECT_NE(fast.percentile(0.5), slow.percentile(0.5));
+  EXPECT_GE(fast.percentile(0.5), 1'100'000u);
+  EXPECT_LT(fast.percentile(0.5), 1'237'500u);  // 1.125 x 1.1 ms
+  EXPECT_GE(slow.percentile(0.5), 1'500'000u);
+  EXPECT_LT(slow.percentile(0.5), 1'687'500u);  // 1.125 x 1.5 ms
+}
+
+TEST(Metrics, HistogramPercentileWithinEighthOfTrueQuantile) {
+  // Property: over values 1..2^50, percentile(q) is at least the true
+  // (nearest-rank) quantile and less than 1.125x it.
+  std::mt19937_64 rng(2015);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng() % 300;
+    std::vector<std::uint64_t> values(n);
+    HistogramData h;
+    for (auto& v : values) {
+      // Log-uniform: a random bit width, then a random value of that width.
+      const int width = 1 + static_cast<int>(rng() % 50);
+      v = (std::uint64_t{1} << (width - 1)) |
+          (rng() & ((std::uint64_t{1} << (width - 1)) - 1));
+      h.add(v);
+    }
+    std::sort(values.begin(), values.end());
+    for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+      const auto rank = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(n))));
+      const std::uint64_t truth = values[rank - 1];
+      const std::uint64_t reported = h.percentile(q);
+      EXPECT_GE(reported, truth) << "q=" << q << " n=" << n;
+      EXPECT_LT(8 * reported, 9 * truth) << "q=" << q << " n=" << n;
+    }
+  }
+}
+
+TEST(Metrics, HistogramMergeEqualsSequentialAdds) {
+  HistogramData all, even, odd;
+  for (std::uint64_t v = 0; v < 5000; v += 7) {
+    all.add(v);
+    (v % 2 ? odd : even).add(v);
+  }
+  even.merge(odd);
+  EXPECT_EQ(even.counts, all.counts);
+  EXPECT_EQ(even.sum, all.sum);
 }
 
 TEST(Metrics, EmptyHistogramPercentileIsZero) {
   HistogramData data;
-  data.bounds = {10, 100};
-  data.counts = {0, 0, 0};
   EXPECT_EQ(data.percentile(0.5), 0u);
   EXPECT_DOUBLE_EQ(data.mean(), 0.0);
-}
-
-TEST(Metrics, ExponentialBounds) {
-  const auto bounds = MetricsRegistry::exponential_bounds(100, 2.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_EQ(bounds[0], 100u);
-  EXPECT_EQ(bounds[1], 200u);
-  EXPECT_EQ(bounds[2], 400u);
-  EXPECT_EQ(bounds[3], 800u);
 }
 
 TEST(Metrics, ShardsMergeAcrossThreads) {
   MetricsRegistry registry;
   auto c = registry.counter("hits");
-  auto h = registry.histogram("vals", {10, 100});
+  auto h = registry.histogram("vals");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -278,7 +336,8 @@ TEST(Metrics, ShardsMergeAcrossThreads) {
   const HistogramData* data = snap.histogram("vals");
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(data->count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(data->counts[0], data->counts[1]);
+  EXPECT_EQ(data->counts[HistogramData::bucket_of(5)],
+            data->counts[HistogramData::bucket_of(50)]);
 }
 
 TEST(Metrics, DisabledRegistryRecordsNothing) {
@@ -318,7 +377,7 @@ TEST(Metrics, TlsCacheSurvivesRegistryRecreation) {
 TEST(Metrics, SnapshotSinceSubtracts) {
   MetricsRegistry registry;
   auto c = registry.counter("c");
-  auto h = registry.histogram("h", {10});
+  auto h = registry.histogram("h");
   c.add(10);
   h.observe(5);
   const auto before = registry.snapshot();
@@ -330,21 +389,25 @@ TEST(Metrics, SnapshotSinceSubtracts) {
   const HistogramData* data = delta.histogram("h");
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(data->count(), 2u);
-  EXPECT_EQ(data->counts[0], 1u);
-  EXPECT_EQ(data->counts[1], 1u);
+  EXPECT_EQ(data->counts[HistogramData::bucket_of(5)], 1u);
+  EXPECT_EQ(data->counts[HistogramData::bucket_of(50)], 1u);
+  EXPECT_EQ(data->sum, 55u);
 }
 
 TEST(Metrics, SnapshotJsonAndCsvWellFormed) {
   MetricsRegistry registry;
   registry.counter("tx.commit").add(3);
   registry.gauge("plan.blocks").set(2);
-  auto h = registry.histogram("lat", {10, 100});
+  auto h = registry.histogram("lat");
   h.observe(5);
   h.observe(500);
   const auto snap = registry.snapshot();
   const std::string json = snap.to_json();
   EXPECT_TRUE(json_valid(json)) << json;
   EXPECT_NE(json.find("\"tx.commit\""), std::string::npos);
+  // Only nonzero buckets, as [upper_bound, count]: 500 lands in [480, 511].
+  EXPECT_NE(json.find("\"buckets\":[[5,1],[511,1]]"), std::string::npos)
+      << json;
   const std::string csv = snap.to_csv();
   EXPECT_NE(csv.find("name,kind,stat,value"), std::string::npos);
   EXPECT_NE(csv.find("tx.commit,counter,value,3"), std::string::npos);
