@@ -614,17 +614,21 @@ int main(int argc, char** argv) {
 
     // Three coordinators prepare across two groups each, then "crash":
     // their ShardTx handles are parked and never run phase 2.
+    // Every coordinator (the survivor below too) registers its node before
+    // the first prepare: the network refuses new nodes under traffic.
     std::vector<std::unique_ptr<CrossShardCoordinator>> doomed;
-    std::vector<ShardTx> parked;
-    for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t c = 0; c < 3; ++c)
       doomed.push_back(std::make_unique<CrossShardCoordinator>(
           chaotic, router, static_cast<int>(100 + c)));
+    CrossShardCoordinator survivor(chaotic, router, 7);
+    std::vector<ShardTx> parked;
+    for (std::size_t c = 0; c < 3; ++c) {
       // Orphan c holds slot 8+c of two adjacent pools: the per-c slot makes
       // the three orphans' key sets disjoint even when the groups wrap
       // (mixed_shards == 2), and the live traffic below stays in slots 0..7.
       const ObjectKey src = pools[c % mixed_shards][8 + c];
       const ObjectKey dst = pools[(c + 1) % mixed_shards][8 + c];
-      ShardTx tx = doomed.back()->begin(write_footprint({src, dst}));
+      ShardTx tx = doomed[c]->begin(write_footprint({src, dst}));
       tx.write(src, Record{0});
       tx.write(dst, Record{0});
       if (tx.prepare_all() == 0)
@@ -644,7 +648,6 @@ int main(int argc, char** argv) {
     // Live traffic keeps committing around the orphans (the parked
     // prepares hold only each pool's .back() key; live transfers use the
     // front halves).
-    CrossShardCoordinator survivor(chaotic, router, 7);
     for (std::size_t k = 0; k < 24; ++k) {
       const auto& src_pool = pools[k % mixed_shards];
       const auto& dst_pool = pools[(k + 1) % mixed_shards];

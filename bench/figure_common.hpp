@@ -108,6 +108,11 @@ struct BenchOptions {
     driver.interval = std::chrono::milliseconds{250};
     driver.executor.backoff_base = std::chrono::microseconds{20};
     driver.seed = 42;
+    // The paper's protocol reads one object per quorum round; the batched
+    // pipeline (the library default) is opt-in here via --batch-reads /
+    // --prefetch, so figure and ablation numbers stay comparable.
+    driver.batch_reads = false;
+    driver.prefetch = false;
   }
 
   /// Parse the shared command-line options (see the header comment for the

@@ -181,7 +181,7 @@ BatchedReadOutcome QuorumStub::read_many(
     o->rpc_batched_reads.add();
     span.restart(&o->tracer, "rpc.read_many", "rpc", tx, "keys",
                  static_cast<std::int64_t>(keys.size()));
-    latency.arm(o->rpc_read_ns);
+    latency.arm(o->rpc_batched_read_ns);
   }
 
   BatchedReadOutcome out;
@@ -318,18 +318,26 @@ PrepareTicket QuorumStub::prepare(TxId tx,
     bool any_wrong_group = false;
     std::vector<Version> current(write_keys.size(), 0);
     std::size_t ok_count = 0;
+    // Members that may hold this round's protections: those that answered
+    // kOk, and those whose reply was lost (the prepare may have run).  A
+    // kBusy, kInvalid or kWrongGroup reply means the replica already undid
+    // whatever it protected (Server::on_prepare), so it needs no abort.
+    std::vector<net::NodeId> holders;
 
-    for (const auto& result : results) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& result = results[i];
       if (!result.ok()) {
         any_unreachable = true;
+        holders.push_back(quorum[i]);
         continue;
       }
       const auto& res = std::get<PrepareResponse>(result.response.payload);
       switch (res.code) {
         case PrepareCode::kOk:
           ++ok_count;
-          for (std::size_t i = 0; i < res.current_versions.size(); ++i)
-            current[i] = std::max(current[i], res.current_versions[i]);
+          holders.push_back(quorum[i]);
+          for (std::size_t k = 0; k < res.current_versions.size(); ++k)
+            current[k] = std::max(current[k], res.current_versions[k]);
           break;
         case PrepareCode::kBusy:
           any_busy = true;
@@ -346,8 +354,9 @@ PrepareTicket QuorumStub::prepare(TxId tx,
     const bool all_ok = ok_count == results.size() && !any_busy &&
                         !any_unreachable && !any_wrong_group;
     if (!all_ok) {
-      // Release whatever protection was acquired anywhere in the quorum.
-      send_abort(tx, quorum, write_keys);
+      // Release whatever protection was acquired, and only where it may be
+      // held: no member holding anything means no abort round at all.
+      if (!holders.empty()) send_abort(tx, holders, write_keys);
       // A wrong-group refusal is deterministic (the replica's group is
       // fixed), so retrying the quorum cannot help — fail the operation.
       if (any_wrong_group) throw TxAbort(AbortKind::kUnavailable, write_keys);

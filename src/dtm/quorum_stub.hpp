@@ -149,7 +149,9 @@ class QuorumStub {
   /// Phase one of commit.  `write_keys` must be sorted ascending;
   /// `read_versions` gives, per write key, the version the transaction read
   /// (0 for blind inserts) so new versions advance past both the replicas'
-  /// and the reader's view.  Throws TxAbort on conflict.
+  /// and the reader's view.  Throws TxAbort on conflict.  A failed round
+  /// sends AbortRequest only to members that answered kOk or whose reply
+  /// was lost; a round in which nobody can hold a protection sends none.
   PrepareTicket prepare(TxId tx, const std::vector<VersionCheck>& read_checks,
                         const std::vector<ObjectKey>& write_keys,
                         const std::vector<Version>& read_versions,

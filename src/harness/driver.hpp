@@ -72,11 +72,15 @@ struct DriverConfig {
   /// tick; true = levels piggybacked on every read RPC (Section V-C2).
   bool piggyback_contention = false;
   /// Batched read path: fetch each Block's independent remote reads in one
-  /// read_many quorum round (kManualCN/kAcn; other protocols ignore it).
-  bool batch_reads = false;
+  /// read_many quorum round per group (kManualCN/kAcn; other protocols
+  /// ignore it).  On by default: the store's submission path pays one round
+  /// per Block, not one per object.  The figure benches turn it off
+  /// (bench::BenchOptions) to run the paper's one-object-per-round protocol.
+  bool batch_reads = true;
   /// With batch_reads: speculatively prefetch the next Block's independent
-  /// reads in the same round (discarded on partial abort).
-  bool prefetch = false;
+  /// reads in the same round (discarded on partial abort; single-shard
+  /// transactions only).
+  bool prefetch = true;
   /// Pause between a client's transactions (emulates more client machines
   /// than threads, or TPC-C keying/think time).  Zero = closed loop.
   std::chrono::nanoseconds think_time{0};

@@ -119,9 +119,17 @@ class Network {
       : latency_(std::move(latency)) {}
 
   /// Register node `id`'s request handler (executed inline on the calling
-  /// thread).  Must happen before traffic flows; not thread-safe against
-  /// concurrent calls.
+  /// thread).  Not thread-safe against concurrent calls.  Registering a new
+  /// id grows the node table, which every call reads without a lock, so
+  /// once the first call()/multicall() has run that throws std::logic_error
+  /// instead of racing it.  Re-registering a known id stays allowed.
   void register_node(NodeId id, Handler handler) {
+    if (static_cast<std::size_t>(id) >= nodes_.size() &&
+        traffic_.load(std::memory_order_relaxed))
+      throw std::logic_error("Network::register_node: node " +
+                             std::to_string(id) +
+                             " registered after traffic started; register "
+                             "every node before the first call");
     auto& node = node_slot(id);
     node.handler = guarded(std::move(handler));
     node.down.store(false);
@@ -205,6 +213,7 @@ class Network {
   /// latency, then invokes the handler inline.
   CallResult<Res> call(NodeId from, NodeId to, const Req& req) {
     require_not_in_handler("call");
+    note_traffic();
     CallResult<Res> out;
     const std::size_t req_bytes = req.approx_size();
     if (!deliverable(to)) {
@@ -252,6 +261,7 @@ class Network {
                                          const std::vector<NodeId>& targets,
                                          MakeReq&& make_req) {
     require_not_in_handler("multicall");
+    note_traffic();
     std::vector<CallResult<Res>> out(targets.size());
     std::vector<Nanos> fwd(targets.size(), Nanos{0});
     Nanos worst{0};
@@ -325,6 +335,13 @@ class Network {
       HandlerScope scope;
       return h(from, req);
     };
+  }
+
+  // Read before the store so the hot path never writes the shared line
+  // once the flag is up.
+  void note_traffic() noexcept {
+    if (!traffic_.load(std::memory_order_relaxed))
+      traffic_.store(true, std::memory_order_relaxed);
   }
 
   Node& node_slot(NodeId id) {
@@ -419,6 +436,8 @@ class Network {
 
   std::shared_ptr<const LatencyModel> latency_;
   std::vector<Node> nodes_;
+  /// Set by the first call()/multicall(); from then on nodes_ must not grow.
+  std::atomic<bool> traffic_{false};
   std::atomic<double> drop_probability_{0.0};
   std::atomic<std::int64_t> extra_latency_ns_{0};
 

@@ -36,6 +36,7 @@ Observability::Observability(ObsConfig config)
       rpc_aborts(metrics.counter("rpc.abort")),
       rpc_contention_queries(metrics.counter("rpc.contention")),
       rpc_read_ns(metrics.histogram("rpc.read_ns")),
+      rpc_batched_read_ns(metrics.histogram("rpc.read.batched_ns")),
       rpc_prepare_ns(metrics.histogram("rpc.prepare_ns")),
       rpc_commit_ns(metrics.histogram("rpc.commit_ns")),
       rpc_lease_expired(metrics.counter("rpc.lease.expired")),

@@ -61,7 +61,8 @@ class Observability {
   MetricsRegistry::Counter rpc_commits;
   MetricsRegistry::Counter rpc_aborts;
   MetricsRegistry::Counter rpc_contention_queries;
-  MetricsRegistry::Histogram rpc_read_ns;
+  MetricsRegistry::Histogram rpc_read_ns;          // one per rpc.read
+  MetricsRegistry::Histogram rpc_batched_read_ns;  // one per rpc.read.batched
   MetricsRegistry::Histogram rpc_prepare_ns;
   MetricsRegistry::Histogram rpc_commit_ns;
 

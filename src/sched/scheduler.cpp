@@ -148,7 +148,8 @@ void TxScheduler::acquire_queues(Session& session, const KeyFootprint& footprint
   }
 
   const int width = std::max(1, config_.queue_width);
-  for (KeyQueue* queue : queues) {
+  for (std::size_t q = 0; q < queues.size(); ++q) {
+    KeyQueue* const queue = queues[q];
     std::unique_lock lock(queue->mutex);
     const std::uint64_t ticket = queue->next++;
     // A ticket starts when it reaches the dispatch point AND the service
@@ -190,8 +191,14 @@ void TxScheduler::acquire_queues(Session& session, const KeyFootprint& footprint
     queue->abandoned.insert(ticket);
     advance_locked(*queue);
     queue->cv.notify_all();
-    queue->users.fetch_sub(1, std::memory_order_relaxed);
     lock.unlock();
+    // After the unlock, with release: tick() frees the queue once users reads
+    // 0, so everything this thread did to it, the unlock included, must
+    // happen before that (see tick()'s acquire).
+    queue->users.fetch_sub(1, std::memory_order_release);
+    // The queues after this one were handed out but never waited on.
+    for (std::size_t rest = q + 1; rest < queues.size(); ++rest)
+      queues[rest]->users.fetch_sub(1, std::memory_order_release);
     if (obs_) obs_->sched_queue_timeouts.add();
     release_queues(session);
     return;
@@ -209,7 +216,9 @@ void TxScheduler::release_queues(Session& session) {
       advance_locked(*queue);
       queue->cv.notify_all();
     }
-    queue->users.fetch_sub(1, std::memory_order_relaxed);
+    // Release, paired with tick()'s acquire: the queue may be freed as soon
+    // as this drops users to 0.
+    queue->users.fetch_sub(1, std::memory_order_release);
   }
   session.held_.clear();
   session.tickets_.clear();
@@ -254,8 +263,10 @@ void TxScheduler::tick() {
     // Evict entries that cooled off completely and whose queue nobody
     // references (users counts handed-out pointers; it only grows under
     // hot_mutex_, so a zero here is stable for the duration of the sweep).
+    // Acquire pairs with the release decrements: the last user's accesses
+    // to the queue happen before it is destroyed here.
     const bool queue_idle =
-        !entry.queue || entry.queue->users.load(std::memory_order_relaxed) == 0;
+        !entry.queue || entry.queue->users.load(std::memory_order_acquire) == 0;
     if (!hot && queue_idle && entry.score < 0.25)
       it = hot_.erase(it);
     else

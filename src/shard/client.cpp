@@ -230,10 +230,16 @@ void Client::run_cross_shard(Protocol protocol, const acn::RunOptions& options,
     // the whole program as one window otherwise (kFlat/kCheckpoint carry
     // no block structure — cross-shard they restart in full).
     std::vector<std::vector<std::size_t>> blocks;
+    // fetch_plan[i]: Block i's remote reads whose keys are known at Block
+    // entry, fetched there in one read_many round per serving group.
+    std::vector<std::vector<std::size_t>> fetch_plan;
     if (resolved.sequence != nullptr) {
       blocks.reserve(resolved.sequence->size());
       for (const Block& block : *resolved.sequence)
         blocks.push_back(block_ops(block, *resolved.model));
+      if (options.batch_reads)
+        for (const auto& ops : blocks)
+          fetch_plan.push_back(batchable_remote_ops(program, ops));
     } else {
       std::vector<std::size_t>& all = blocks.emplace_back(program.ops.size());
       std::iota(all.begin(), all.end(), std::size_t{0});
@@ -255,6 +261,15 @@ void Client::run_cross_shard(Protocol protocol, const acn::RunOptions& options,
         for (;;) {
           ++stats.blocks_executed;
           try {
+            // After the checkpoint: a stale batched key is this Block's read
+            // and rolls back only this Block.
+            if (!fetch_plan.empty() && !fetch_plan[position].empty()) {
+              std::vector<store::ObjectKey> keys;
+              keys.reserve(fetch_plan[position].size());
+              for (const std::size_t op : fetch_plan[position])
+                keys.push_back(program.ops[op].remote.key_fn(env));
+              tx.read_many(keys);
+            }
             for (const std::size_t op : blocks[position])
               execute_op(program, op, env, stats);
             break;

@@ -16,7 +16,11 @@
 //      checkpoints the ShardTx and the variable environment; an execution
 //      abort whose invalidated keys are all confined to the current Block
 //      rolls back to the checkpoint and retries the Block — partial
-//      rollback preserved across shards.  Aborts touching earlier Blocks'
+//      rollback preserved across shards.  With RunOptions::batch_reads,
+//      the Block's reads whose keys are known at entry are fetched right
+//      after the checkpoint, one read_many round per serving group
+//      (ShardTx::read_many); speculative prefetch of the next Block stays
+//      on the fast path.  Aborts touching earlier Blocks'
 //      reads, and any commit-phase abort, restart the transaction with
 //      randomized exponential backoff.
 //   4. escalate — predictions are blind to keys produced mid-transaction.

@@ -87,6 +87,26 @@ store::Record ShardTx::read(const store::ObjectKey& key) {
   return outcome.record.value;
 }
 
+void ShardTx::read_many(const std::vector<store::ObjectKey>& keys) {
+  if (state_ != State::kActive)
+    throw std::logic_error("ShardTx::read_many on a finished transaction");
+  std::map<std::uint32_t, std::vector<store::ObjectKey>> by_group;
+  for (const auto& key : keys) {
+    if (writes_.count(key) != 0 || reads_.count(key) != 0) continue;
+    std::vector<store::ObjectKey>& group = by_group[serving_group(key)];
+    if (std::find(group.begin(), group.end(), key) == group.end())
+      group.push_back(key);
+  }
+  for (const auto& [group, group_keys] : by_group) {
+    auto outcome =
+        owner_->stub(group).read_many(tx_, group_keys, group_checks(group));
+    for (std::size_t i = 0; i < group_keys.size(); ++i) {
+      reads_.emplace(group_keys[i], std::move(outcome.records[i]));
+      read_groups_.emplace(group_keys[i], group);
+    }
+  }
+}
+
 void ShardTx::write(const store::ObjectKey& key, store::Record value) {
   if (state_ != State::kActive)
     throw std::logic_error("ShardTx::write on a finished transaction");

@@ -84,6 +84,13 @@ class ShardTx {
   /// QuorumStub::read throws.
   store::Record read(const store::ObjectKey& key);
 
+  /// Fetch `keys` (independent of each other) into the read-set: keys not
+  /// yet buffered are grouped by serving group, and each group's keys come
+  /// back from one QuorumStub::read_many round carrying that group's
+  /// incremental-validation checks.  Later read()s of these keys are then
+  /// served locally.  Throws what QuorumStub::read_many throws.
+  void read_many(const std::vector<store::ObjectKey>& keys);
+
   /// Buffer a write; nothing goes remote until commit().  Writes to
   /// replicated classes are refused (std::logic_error) — the groups'
   /// copies would silently diverge.

@@ -346,6 +346,123 @@ TEST(Client, ManualCnBlocksExecuteAcrossShards) {
   EXPECT_EQ(latest_sharded(cluster, map, {1, 105}).value.fields[0], 575);
 }
 
+/// Two Blocks on the cross-shard path.  Block 0 reads id 8.  Block 1 reads
+/// ids 5 and 6 (group 0) and 105 and 106 (group 1), none keyed on anything
+/// computed in the transaction, so all four are fetched at Block entry.
+/// Then `hook` runs, then a read keyed on id 5's value (id 7, never
+/// batchable) carries group 0's incremental validation, and the Block
+/// moves 1 from id 5 to id 105.
+struct BatchedBlockRig {
+  harness::Cluster cluster{fast_cluster(2)};
+  ShardMap map = range_map(2);
+  ShardRouter router{map};
+  ir::TxProgram program;
+  DependencyModel model;
+  BlockSequence sequence;
+
+  explicit BatchedBlockRig(std::function<void()> hook) {
+    for (const std::uint64_t id : {5, 6, 7, 8, 105, 106})
+      seed_sharded(cluster, map, {1, id}, Record{500});
+
+    ProgramBuilder b("client.batched", 0);
+    const auto fixed = [](std::uint64_t id) {
+      return [id](const TxEnv&) { return ObjectKey{1, id}; };
+    };
+    b.remote_read(1, {}, fixed(8), "read 8");
+    const VarId a = b.remote_read(1, {}, fixed(5), "read 5", true);
+    b.remote_read(1, {}, fixed(6), "read 6");
+    const VarId c = b.remote_read(1, {}, fixed(105), "read 105", true);
+    b.remote_read(1, {}, fixed(106), "read 106");
+    b.local({a}, {}, [hook](TxEnv&) { hook(); }, "hook");
+    const VarId sel = b.fresh_var();
+    b.local({a}, {sel},
+            [a, sel](TxEnv& e) { e.seti(sel, 7 + e.geti(a) * 0); },
+            "select");
+    b.remote_read(
+        1, {sel},
+        [sel](const TxEnv& e) {
+          return ObjectKey{1, static_cast<std::uint64_t>(e.geti(sel))};
+        },
+        "read selected");
+    b.local({a, c}, {a, c},
+            [a, c](TxEnv& e) {
+              Record from = e.get(a);
+              Record to = e.get(c);
+              from[0] -= 1;
+              to[0] += 1;
+              e.write_object(a, std::move(from));
+              e.write_object(c, std::move(to));
+            },
+            "move");
+    program = b.build();
+    model = build_dependency_model(program, AttachPolicy::kLatestProducer);
+    sequence = {Block{{0}}, Block{}};
+    for (std::size_t u = 1; u < model.units.size(); ++u)
+      sequence[1].units.push_back(u);
+  }
+
+  acn::RunOptions options() const {
+    acn::RunOptions opts = acn::with_blocks(program, model, sequence);
+    opts.batch_reads = true;
+    return opts;
+  }
+};
+
+TEST(Client, CrossShardBlockFetchesEachGroupInOneReadMany) {
+  BatchedBlockRig rig([] {});
+  ASSERT_TRUE(sequence_valid(rig.sequence, rig.model));
+  obs::Observability obs;
+  rig.cluster.set_obs(&obs);
+  ClientStats stats;
+  Client client(rig.cluster, rig.router, stats, 0, fast_executor(), 29);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kManualCN, rig.options(), {}, es);
+
+  EXPECT_EQ(es.commits, 1u);
+  EXPECT_EQ(es.partial_aborts, 0u);
+  EXPECT_EQ(stats.cross_shard.load(), 1u);
+  const obs::Snapshot snapshot = obs.metrics.snapshot();
+  // Block 1: one read_many per group; ids 8 and 7 are single reads.
+  EXPECT_EQ(snapshot.counter("rpc.read.batched"), 2u);
+  EXPECT_EQ(snapshot.counter("rpc.read"), 2u);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 499);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
+            501);
+}
+
+TEST(Client, StaleBatchedKeyCostsOnlyAPartialBlockRetry) {
+  std::unique_ptr<CrossShardCoordinator> rival;
+  bool fired = false;
+  BatchedBlockRig rig([&] {
+    // Once, after Block 1's batched fetch: a rival commits id 5.
+    if (fired) return;
+    fired = true;
+    KeyFootprint footprint;
+    footprint.push_back({ObjectKey{1, 5}, true});
+    ShardTx tx = rival->begin(footprint);
+    const Record v = tx.read({1, 5});
+    tx.write({1, 5}, Record{v.fields[0] + 100});
+    tx.commit();
+  });
+  // Built before any traffic: a coordinator registers its network node.
+  rival = std::make_unique<CrossShardCoordinator>(rig.cluster, rig.router, 9);
+  ClientStats stats;
+  Client client(rig.cluster, rig.router, stats, 0, fast_executor(), 31);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kManualCN, rig.options(), {}, es);
+
+  // The read of id 7 validates group 0's batched reads and finds id 5
+  // stale.  Id 5 was read after Block 1's checkpoint, so only Block 1
+  // re-runs.
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(es.commits, 1u);
+  EXPECT_EQ(es.partial_aborts, 1u);
+  EXPECT_EQ(es.full_aborts, 0u);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 599);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
+            501);
+}
+
 TEST(Client, AbandonedCommitResolvesBeforeChaosStopDeclaresHealed) {
   // The satellite scenario end to end at the client layer: a coordinator
   // prepares both groups, delivers phase 2 to group 0 only, and abandons

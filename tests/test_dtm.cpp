@@ -157,6 +157,76 @@ TEST(QuorumStub, FailedPrepareLeavesNothingProtected) {
     EXPECT_NE(server->store().read(kA).status, store::ReadStatus::kProtected);
 }
 
+/// Every quorum is all `n` nodes, so a test knows which members a prepare
+/// contacts.
+class AllNodes final : public quorum::QuorumSystem {
+ public:
+  explicit AllNodes(std::size_t n) : n_(n) {}
+  std::size_t node_count() const override { return n_; }
+  std::vector<quorum::NodeId> read_quorum(Rng&) const override { return all(); }
+  std::vector<quorum::NodeId> write_quorum(Rng&) const override {
+    return all();
+  }
+
+ private:
+  std::vector<quorum::NodeId> all() const {
+    std::vector<quorum::NodeId> nodes(n_);
+    for (std::size_t i = 0; i < n_; ++i)
+      nodes[i] = static_cast<quorum::NodeId>(i);
+    return nodes;
+  }
+  std::size_t n_;
+};
+
+TEST(QuorumStub, FailedPrepareAbortsOnlyMembersThatMayHoldProtections) {
+  // Four members: 1 holds a rival protection (answers kBusy), 3 runs the
+  // prepare but its reply is lost, 0 and 2 answer kOk.
+  Cluster cluster(fast_config(4));
+  workloads::seed_all(cluster.servers(), kA, Record{1});
+  ASSERT_TRUE(cluster.server(1).store().try_protect(kA, 999));
+  const AllNodes quorums(4);
+  StubConfig config = fast_config().stub;
+  config.max_commit_replays = 0;  // one abort per round, even to member 3
+  QuorumStub stub(cluster.network(), quorums,
+                  static_cast<net::NodeId>(cluster.size()), 7, config);
+  cluster.network().set_link_fault(3, stub.client_node(),
+                                   net::LinkFault{1.0, {}});
+
+  try {
+    stub.prepare(1, {}, {kA}, {1});
+    FAIL() << "expected TxAbort";
+  } catch (const TxAbort& abort) {
+    EXPECT_EQ(abort.kind(), AbortKind::kBusy);
+  }
+  const std::uint64_t rounds = cluster.server(0).stats().prepares.load();
+  EXPECT_EQ(rounds, static_cast<std::uint64_t>(config.retry.max_retries) + 1);
+  EXPECT_EQ(cluster.server(0).stats().aborts.load(), rounds);
+  EXPECT_EQ(cluster.server(1).stats().aborts.load(), 0u);  // kBusy undid it
+  EXPECT_EQ(cluster.server(2).stats().aborts.load(), rounds);
+  EXPECT_EQ(cluster.server(3).stats().aborts.load(), rounds);  // lost reply
+  // Every protection this transaction took was released; the rival's stays.
+  EXPECT_EQ(cluster.server(0).store().protected_count(), 0u);
+  EXPECT_EQ(cluster.server(1).store().protected_count(), 1u);
+  EXPECT_EQ(cluster.server(2).store().protected_count(), 0u);
+  EXPECT_EQ(cluster.server(3).store().protected_count(), 0u);
+}
+
+TEST(QuorumStub, PrepareRoundWithNoOkMemberSendsNoAbort) {
+  Cluster cluster(fast_config(3));
+  workloads::seed_all(cluster.servers(), kA, Record{1});
+  for (auto* server : cluster.servers())
+    ASSERT_TRUE(server->store().try_protect(kA, 999));
+  const AllNodes quorums(3);
+  QuorumStub stub(cluster.network(), quorums,
+                  static_cast<net::NodeId>(cluster.size()), 7,
+                  fast_config().stub);
+  EXPECT_THROW(stub.prepare(1, {}, {kA}, {1}), TxAbort);
+  for (auto* server : cluster.servers()) {
+    EXPECT_GT(server->stats().prepares.load(), 0u);
+    EXPECT_EQ(server->stats().aborts.load(), 0u);
+  }
+}
+
 TEST(QuorumStub, AbortReleasesPreparedObjects) {
   Cluster cluster(fast_config());
   workloads::seed_all(cluster.servers(), kA, Record{1});

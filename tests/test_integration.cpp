@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "bench/figure_common.hpp"
 #include "src/harness/driver.hpp"
 #include "src/harness/report.hpp"
 #include "src/workloads/bank.hpp"
@@ -150,6 +151,35 @@ TEST(Integration, ProtocolNames) {
   EXPECT_STREQ(protocol_name(Protocol::kFlat), "QR-DTM");
   EXPECT_STREQ(protocol_name(Protocol::kManualCN), "QR-CN");
   EXPECT_STREQ(protocol_name(Protocol::kAcn), "QR-ACN");
+}
+
+// The store's submission path batches and prefetches Block reads by
+// default; the figure benches pin the paper's one-object-per-round reads.
+TEST(Integration, DefaultDriverBatchesAndPrefetchesBenchDefaultDoesNot) {
+  const auto bank_run = [](DriverConfig config) {
+    obs::Observability obs;
+    Cluster cluster(quick_cluster());
+    cluster.set_obs(&obs);
+    workloads::Bank bank({.n_branches = 16, .n_accounts = 128});
+    bank.seed(cluster.servers());
+    config.n_clients = 4;
+    config.intervals = 2;
+    config.interval = std::chrono::milliseconds{120};
+    config.executor.backoff_base = std::chrono::microseconds{5};
+    config.obs = &obs;
+    const RunResult result = run(cluster, bank, Protocol::kAcn, config);
+    EXPECT_GT(result.stats.commits, 0u);
+    return result.metrics;
+  };
+
+  const obs::Snapshot library = bank_run(DriverConfig{});
+  EXPECT_GT(library.counter("rpc.read.batched"), 0u);
+  EXPECT_GT(library.counter("exec.prefetch.hit"), 0u);
+
+  const obs::Snapshot figure = bank_run(bench::BenchOptions{}.driver);
+  EXPECT_GT(figure.counter("rpc.read"), 0u);
+  EXPECT_EQ(figure.counter("rpc.read.batched"), 0u);
+  EXPECT_EQ(figure.counter("exec.prefetch.hit"), 0u);
 }
 
 TEST(Integration, PiggybackContentionFeedAdaptsToo) {

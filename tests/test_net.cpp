@@ -111,6 +111,29 @@ TEST(Network, SetNodeDownUnknownIdThrows) {
   EXPECT_TRUE(net->node_down(1));
 }
 
+TEST(Network, RegisteringANewNodeAfterTrafficThrows) {
+  // Before traffic the table may grow freely.
+  auto net = make_net(2);
+  net->register_node(4, [](NodeId, const Ping& p) { return Pong{p.value, 4}; });
+  EXPECT_TRUE(net->call(10, 4, Ping{1}).ok());
+  // Growing the node table under traffic would race every call's unlocked
+  // lookup, so it is refused outright...
+  EXPECT_THROW(
+      net->register_node(9, [](NodeId, const Ping&) { return Pong{}; }),
+      std::logic_error);
+  // ...while re-registering a known id (a restarted node) stays allowed.
+  EXPECT_NO_THROW(net->register_node(
+      1, [](NodeId, const Ping& p) { return Pong{p.value, 100}; }));
+  EXPECT_EQ(net->call(10, 1, Ping{1}).response.handled_by, 100);
+
+  // A multicall starts traffic as well.
+  auto fresh = make_net(2);
+  fresh->multicall(10, {0, 1}, [](NodeId) { return Ping{1}; });
+  EXPECT_THROW(
+      fresh->register_node(2, [](NodeId, const Ping&) { return Pong{}; }),
+      std::logic_error);
+}
+
 TEST(Network, ResponseLegDropSurfacesAsDrop) {
   auto net = make_net(2);
   std::atomic<int> handled{0};

@@ -351,6 +351,9 @@ TEST(Coordinator, CrashBetweenPreparesParksInDoubtThenResolvesToAbort) {
   seed_sharded(cluster, map, dst, Record{300});
 
   CrossShardCoordinator doomed(cluster, router, 0);
+  // Built up front: a coordinator registers its node, and the network
+  // refuses new nodes once traffic has started.
+  CrossShardCoordinator alive(cluster, router, 1);
   ShardTx tx = doomed.begin(write_footprint({src, dst}));
   tx.read(src);
   tx.read(dst);
@@ -381,7 +384,6 @@ TEST(Coordinator, CrashBetweenPreparesParksInDoubtThenResolvesToAbort) {
   EXPECT_EQ(total_protected(cluster), 0u);
 
   // The keys are free: a live coordinator transfers across them at once.
-  CrossShardCoordinator alive(cluster, router, 1);
   ShardTx retry = alive.begin(write_footprint({src, dst}));
   const auto a = retry.read(src), b = retry.read(dst);
   retry.write(src, Record{a.fields[0] - 10});
