@@ -27,7 +27,8 @@
 //   --snapshot-kb=N      snapshot + compact after this much log
 // Batched read pipeline (QR-CN / QR-ACN runs):
 //   --batch-reads        fetch each Block's independent reads in one round
-//   --prefetch           also speculate on the next Block (implies the above)
+//   --prefetch           also prefetch every later Block's key-known reads
+//                        (implies the above)
 // Contention-aware scheduler (src/sched):
 //   --sched=POLICY       none | queue | admit | both (default none)
 // Transport (src/transport; benches that support it say so):

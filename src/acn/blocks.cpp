@@ -42,32 +42,30 @@ std::vector<std::size_t> block_ops(const Block& block,
   return ops;
 }
 
-std::vector<std::size_t> batchable_remote_ops(
-    const ir::TxProgram& program, const std::vector<std::size_t>& window,
-    const std::vector<std::size_t>& prior) {
-  // written[v]: var v is produced inside the prior ops or earlier in the
-  // window, so a key depending on it is not known at window entry.  The
-  // bounds guard also filters ir::kNoVar outputs.
-  std::vector<char> written(program.n_vars, 0);
-  const auto mark = [&](std::size_t idx) {
-    for (ir::VarId w : program.ops[idx].writes())
-      if (w < written.size()) written[w] = 1;
-  };
-  for (std::size_t idx : prior) mark(idx);
-
-  std::vector<std::size_t> group;
-  for (std::size_t idx : window) {
-    const ir::Op& op = program.ops[idx];
-    if (op.is_remote()) {
-      const auto& deps = op.remote.key_deps;
-      const bool ready = std::none_of(deps.begin(), deps.end(), [&](ir::VarId dep) {
-        return dep < written.size() && written[dep];
-      });
-      if (ready) group.push_back(idx);
+std::vector<PlannedRead> plan_reads(
+    const ir::TxProgram& program,
+    const std::vector<std::vector<std::size_t>>& blocks) {
+  // produced_in[v]: 1 + the position of the latest Block (so far, in
+  // execution order) with an op producing var v; 0 = not produced yet.  A
+  // read is computable at the entry of every Block after its deps' latest
+  // producer.  The bounds guard also filters ir::kNoVar outputs.
+  std::vector<std::size_t> produced_in(program.n_vars, 0);
+  std::vector<PlannedRead> plan;
+  for (std::size_t position = 0; position < blocks.size(); ++position) {
+    for (std::size_t idx : blocks[position]) {
+      const ir::Op& op = program.ops[idx];
+      if (op.is_remote()) {
+        std::size_t ready = 0;
+        for (ir::VarId dep : op.remote.key_deps)
+          if (dep < produced_in.size())
+            ready = std::max(ready, produced_in[dep]);
+        if (ready <= position) plan.push_back({idx, position, ready});
+      }
+      for (ir::VarId w : op.writes())
+        if (w < produced_in.size()) produced_in[w] = position + 1;
     }
-    mark(idx);
   }
-  return group;
+  return plan;
 }
 
 bool blocks_dependent(const Block& a, const Block& b,

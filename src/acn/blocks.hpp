@@ -33,16 +33,24 @@ bool sequence_valid(const BlockSequence& sequence, const DependencyModel& model)
 /// Ops of a block in execution order (ascending program index).
 std::vector<std::size_t> block_ops(const Block& block, const DependencyModel& model);
 
-/// Remote ops of `window` (program indices, ascending) whose key
-/// dependencies are produced neither by an earlier op of `window` nor by
-/// any op of `prior`: their object keys are computable before the window's
-/// first op runs, so one batched quorum round can fetch them all.  With a
-/// non-empty `prior` this answers the prefetch question — which of the
-/// *next* block's reads are independent of everything the current block
-/// (`prior`) computes.
-std::vector<std::size_t> batchable_remote_ops(
-    const ir::TxProgram& program, const std::vector<std::size_t>& window,
-    const std::vector<std::size_t>& prior = {});
+/// One remote read the batched read pipeline can fetch before it runs.
+struct PlannedRead {
+  std::size_t op;     // program index of the remote read
+  std::size_t block;  // position of the Block that executes it
+  std::size_t ready;  // first position at whose entry its key is computable
+};
+
+/// The key-known reads of a Block Sequence whose Blocks run `blocks` (each
+/// Block's ops in execution order, as block_ops returns them): every remote
+/// read whose key dependencies are produced by no op between the entry of
+/// Block `ready` and the read itself.  Its key is therefore computable at
+/// the entry of every Block from `ready` through `block`, and any of those
+/// Blocks' batched rounds can fetch it.  Reads keyed on a value computed
+/// earlier in their own Block are absent: they go out one by one.  Ordered
+/// by `block`, then execution order.
+std::vector<PlannedRead> plan_reads(
+    const ir::TxProgram& program,
+    const std::vector<std::vector<std::size_t>>& blocks);
 
 /// True when blocks `a` and `b` are connected by at least one direct
 /// dependency edge in either direction.

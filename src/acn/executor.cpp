@@ -25,6 +25,26 @@ void require(bool present, const char* what) {
     throw std::invalid_argument(std::string("Executor::run: missing ") + what);
 }
 
+/// ReadPipeline backend over the executor's transaction; with a contention
+/// monitor armed, every round piggybacks its classes' levels.
+struct TxnReads {
+  nesting::Transaction& txn;
+  ContentionMonitor* monitor;
+
+  ReadPipeline::Records read_many(const std::vector<ir::ObjectKey>& own,
+                                  const std::vector<ir::ObjectKey>& ahead) {
+    if (monitor == nullptr) return txn.read_many(own, ahead);
+    std::vector<std::uint64_t> levels;
+    auto records = txn.read_many(own, ahead, monitor->classes(), &levels);
+    if (!levels.empty()) monitor->observe(monitor->classes(), levels);
+    return records;
+  }
+
+  bool adopt(const ir::ObjectKey& key, const store::VersionedRecord& record) {
+    return txn.adopt_read(key, record);
+  }
+};
+
 }  // namespace
 
 const char* protocol_name(Protocol protocol) {
@@ -156,45 +176,6 @@ void Executor::backoff(int attempt) {
   std::this_thread::sleep_for(std::chrono::nanoseconds{shifted + jitter});
 }
 
-void Executor::batched_fetch(const ir::TxProgram& program, ir::TxEnv& env,
-                             const std::vector<std::size_t>& group,
-                             const std::vector<std::size_t>& speculative,
-                             SpecBuffer& spec_buffer) {
-  obs::Observability* const o = config_.obs;
-
-  // Adopt what the previous Block prefetched for us into the fresh frame
-  // (so staleness aborts partially, against this Block).  read_many below
-  // then skips the adopted keys as already buffered.
-  if (!spec_buffer.empty()) {
-    std::size_t hits = 0;
-    for (const auto& [key, record] : spec_buffer)
-      if (env.txn().adopt_read(key, record)) ++hits;
-    if (o && hits > 0) o->prefetch_hits.add(hits);
-    spec_buffer.clear();
-  }
-
-  if (group.empty() && speculative.empty()) return;
-  // Key functions of batchable ops depend only on state computed before
-  // this Block, so both key lists are evaluable right now.
-  std::vector<ir::ObjectKey> keys;
-  keys.reserve(group.size());
-  for (std::size_t idx : group)
-    keys.push_back(program.ops[idx].remote.key_fn(env));
-  std::vector<ir::ObjectKey> spec_keys;
-  spec_keys.reserve(speculative.size());
-  for (std::size_t idx : speculative)
-    spec_keys.push_back(program.ops[idx].remote.key_fn(env));
-
-  if (ContentionMonitor* monitor = config_.piggyback_monitor) {
-    std::vector<std::uint64_t> levels;
-    spec_buffer =
-        env.txn().read_many(keys, spec_keys, monitor->classes(), &levels);
-    if (!levels.empty()) monitor->observe(monitor->classes(), levels);
-  } else {
-    spec_buffer = env.txn().read_many(keys, spec_keys);
-  }
-}
-
 void Executor::run_flat_impl(const ir::TxProgram& program,
                              const std::vector<ir::Record>& params,
                              ExecStats& stats) {
@@ -240,26 +221,13 @@ void Executor::run_blocks_impl(const ir::TxProgram& program,
                                ExecStats& stats) {
   obs::Observability* const o = config_.obs;
 
-  // Fetch plans depend only on the program and the sequence, not on runtime
-  // state: compute them once per run.  fetch_plan[i] — this Block's reads a
-  // batched round can serve; spec_plan[i] — Block i+1's reads that are
-  // independent of everything Block i computes, eligible to ride Block i's
-  // round speculatively.
+  // The read plan depends only on the program and the sequence, not on
+  // runtime state: compute it once per run.
   std::vector<std::vector<std::size_t>> all_ops(sequence.size());
   for (std::size_t i = 0; i < sequence.size(); ++i)
     all_ops[i] = block_ops(sequence[i], model);
-  std::vector<std::vector<std::size_t>> fetch_plan;
-  std::vector<std::vector<std::size_t>> spec_plan;
-  if (options.batch_reads) {
-    fetch_plan.resize(sequence.size());
-    spec_plan.resize(sequence.size());
-    for (std::size_t i = 0; i < sequence.size(); ++i) {
-      fetch_plan[i] = batchable_remote_ops(program, all_ops[i]);
-      if (options.prefetch && i + 1 < sequence.size())
-        spec_plan[i] =
-            batchable_remote_ops(program, all_ops[i + 1], all_ops[i]);
-    }
-  }
+  std::vector<PlannedRead> read_plan;
+  if (options.batch_reads) read_plan = plan_reads(program, all_ops);
 
   const Stopwatch tx_watch;
   for (int attempt = 0;; ++attempt) {
@@ -269,7 +237,8 @@ void Executor::run_blocks_impl(const ir::TxProgram& program,
     obs::Tracer::Span tx_span;
     if (o)
       tx_span.restart(&o->tracer, "tx", "tx", txn.id(), "attempt", attempt);
-    SpecBuffer spec_buffer;
+    ReadPipeline reads(program, read_plan, options.prefetch, o);
+    TxnReads backend{txn, config_.piggyback_monitor};
     try {
       for (std::size_t position = 0; position < sequence.size(); ++position) {
         const std::size_t slot =
@@ -290,22 +259,16 @@ void Executor::run_blocks_impl(const ir::TxProgram& program,
           }
           txn.begin_nested();
           try {
-            if (options.batch_reads)
-              batched_fetch(program, env, fetch_plan[position],
-                            spec_plan[position], spec_buffer);
+            reads.enter(position, env, backend);
             for (std::size_t op : ops) execute_op(program, op, env, stats);
             txn.commit_nested();
             break;
           } catch (const dtm::TxAbort& abort) {
             ++stats.aborts_in_execution;
-            // Anything speculatively fetched during this attempt (for the
-            // next Block) rides on a snapshot that just proved stale or
-            // never got consumed consistently — discard it; the retry (or
-            // the restart) re-fetches.
-            if (!spec_buffer.empty()) {
-              if (o) o->prefetch_wasted.add(spec_buffer.size());
-              spec_buffer.clear();
-            }
+            // Records prefetched for later Blocks ride on a snapshot that
+            // just proved stale: drop them; the retry (or the restart)
+            // fetches again.
+            reads.discard();
             const bool partial =
                 txn.classify(abort) == nesting::AbortScope::kPartial &&
                 partial_attempts < config_.max_partial_retries;

@@ -16,12 +16,14 @@
 //   * Protocol::kCheckpoint — QR-CKPT: checkpoint-based partial rollback
 //                             (the Section III alternative to nesting).
 //
-// RunOptions also switches on the batched read pipeline: with batch_reads,
-// the remote accesses of a Block whose key dependencies are satisfied at
-// Block entry are fetched through ONE read_many quorum round instead of N
-// sequential reads; with prefetch, the next Block's independent reads ride
-// the same round speculatively and are adopted when that Block starts (or
-// discarded, if a partial abort intervenes — speculation never weakens the
+// RunOptions also switches on the batched read pipeline (ReadPipeline):
+// with batch_reads, the remote accesses of a Block whose key dependencies
+// are satisfied at Block entry are fetched through ONE read_many quorum
+// round instead of N sequential reads; with prefetch, the same round also
+// fetches every later Block's reads whose keys are already computable, so
+// a transaction whose keys all come from its parameters reads in one
+// round.  Prefetched records are adopted when their own Block starts (or
+// discarded, if a partial abort intervenes — prefetch never weakens the
 // partial-rollback classification, because adopted reads live in the
 // adopting Block's own frame).
 //
@@ -32,9 +34,14 @@
 // restart with randomized exponential backoff.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "src/acn/blocks.hpp"
 #include "src/acn/controller.hpp"
 #include "src/acn/footprint.hpp"
 #include "src/acn/txir.hpp"
@@ -130,8 +137,9 @@ struct RunOptions {
   /// round (kManualCN/kAcn; flat and checkpointed execution has no Block
   /// structure to exploit and ignores it).
   bool batch_reads = false;
-  /// With batch_reads: speculatively fetch the next Block's independent
-  /// reads in the same round; speculation is discarded on partial abort.
+  /// With batch_reads: every Block's round also fetches the reads of all
+  /// later Blocks whose keys are already computable; each record waits for
+  /// its own Block, and a partial abort discards what is still waiting.
   bool prefetch = false;
   /// When set, replaces the executor's construction-time config (retry
   /// caps, backoff, obs pointer, monitor, history) for this run only.
@@ -176,6 +184,108 @@ inline RunOptions with_controller(AdaptiveController& controller) {
   return options;
 }
 
+/// The runtime half of the batched read pipeline, for one attempt of one
+/// transaction over a plan_reads plan.  At each Block's entry, enter()
+/// issues one read_many round for the Block's key-known reads and, with
+/// prefetch, for every later Block's planned read that is computable now
+/// and not yet pending.  Prefetched records wait here until the Block that
+/// reads them starts and adopts them into its own frame, so a record that
+/// went stale still aborts only that Block.  Every prefetched record ends
+/// as exec.prefetch.hit (adopted) or exec.prefetch.waste (already buffered
+/// at adoption, dropped by discard(), or still pending when the pipeline
+/// dies with its attempt).  Executor and shard::Client share it; `Backend`
+/// provides
+///   Records read_many(const std::vector<ObjectKey>& own,
+///                     const std::vector<ObjectKey>& ahead)
+///     — one round: install `own` (skipping buffered keys) and return the
+///       records of the `ahead` keys it fetched;
+///   bool adopt(const ObjectKey& key, const VersionedRecord& record)
+///     — install a prefetched record; false when `key` is already buffered.
+class ReadPipeline {
+ public:
+  using Records = std::vector<std::pair<ir::ObjectKey, store::VersionedRecord>>;
+
+  /// `program` and `plan` must outlive the pipeline.
+  ReadPipeline(const ir::TxProgram& program,
+               const std::vector<PlannedRead>& plan, bool prefetch,
+               obs::Observability* obs)
+      : program_(program),
+        plan_(plan),
+        prefetch_(prefetch),
+        obs_(obs),
+        sent_(plan.size(), 0) {}
+  ~ReadPipeline() { drop_pending(); }
+  ReadPipeline(const ReadPipeline&) = delete;
+  ReadPipeline& operator=(const ReadPipeline&) = delete;
+
+  /// The fetch stage at the entry of Block `position` (key functions are
+  /// evaluated against `env`).  Throws what Backend::read_many throws.
+  template <class Backend>
+  void enter(std::size_t position, const ir::TxEnv& env, Backend& backend);
+
+  /// A partial abort of the current Block: drop every pending record, and
+  /// let the retry fetch the later Blocks' reads again.
+  void discard() {
+    drop_pending();
+    std::fill(sent_.begin(), sent_.end(), 0);
+  }
+
+ private:
+  void drop_pending() {
+    if (obs_ != nullptr && !pending_.empty())
+      obs_->prefetch_wasted.add(pending_.size());
+    pending_.clear();
+  }
+
+  const ir::TxProgram& program_;
+  const std::vector<PlannedRead>& plan_;
+  bool prefetch_;
+  obs::Observability* obs_;
+  /// sent_[r]: plan_[r] was fetched ahead of its Block (since the last
+  /// discard), so later rounds skip it.
+  std::vector<char> sent_;
+  std::unordered_map<ir::ObjectKey, store::VersionedRecord,
+                     store::ObjectKeyHash>
+      pending_;
+};
+
+template <class Backend>
+void ReadPipeline::enter(std::size_t position, const ir::TxEnv& env,
+                         Backend& backend) {
+  std::vector<ir::ObjectKey> own;
+  std::vector<ir::ObjectKey> ahead;
+  std::size_t hits = 0;
+  std::size_t waste = 0;
+  for (std::size_t r = 0; r < plan_.size(); ++r) {
+    const PlannedRead& read = plan_[r];
+    const bool mine = read.block == position;
+    if (!mine && !(prefetch_ && read.ready <= position &&
+                   position < read.block && !sent_[r]))
+      continue;
+    ir::ObjectKey key = program_.ops[read.op].remote.key_fn(env);
+    if (mine) {
+      if (const auto it = pending_.find(key); it != pending_.end()) {
+        // Adopted into this Block's frame, or already buffered (e.g. an
+        // earlier Block wrote the key): either way nothing to fetch.
+        ++(backend.adopt(key, it->second) ? hits : waste);
+        pending_.erase(it);
+        continue;
+      }
+      own.push_back(std::move(key));
+    } else {
+      sent_[r] = 1;
+      if (!pending_.contains(key)) ahead.push_back(std::move(key));
+    }
+  }
+  if (obs_ != nullptr) {
+    if (hits > 0) obs_->prefetch_hits.add(hits);
+    if (waste > 0) obs_->prefetch_wasted.add(waste);
+  }
+  if (own.empty() && ahead.empty()) return;
+  for (auto& [key, record] : backend.read_many(own, ahead))
+    pending_.emplace(std::move(key), std::move(record));
+}
+
 class Executor {
  public:
   Executor(dtm::QuorumStub& stub, ExecutorConfig config, std::uint64_t seed);
@@ -188,8 +298,6 @@ class Executor {
            const std::vector<ir::Record>& params, ExecStats& stats);
 
  private:
-  using SpecBuffer = std::vector<std::pair<ir::ObjectKey, dtm::VersionedRecord>>;
-
   void run_flat_impl(const ir::TxProgram& program,
                      const std::vector<ir::Record>& params, ExecStats& stats);
   void run_blocks_impl(const ir::TxProgram& program,
@@ -199,15 +307,6 @@ class Executor {
   void run_checkpointed_impl(const ir::TxProgram& program,
                              const std::vector<ir::Record>& params,
                              ExecStats& stats);
-
-  /// The batched fetch stage at Block entry: adopt what the previous Block
-  /// prefetched into the fresh frame, then fetch `group` (this Block's
-  /// independent reads) plus `speculative` (the next Block's) in one
-  /// read_many round, leaving the speculative records in `spec_buffer`.
-  void batched_fetch(const ir::TxProgram& program, ir::TxEnv& env,
-                     const std::vector<std::size_t>& group,
-                     const std::vector<std::size_t>& speculative,
-                     SpecBuffer& spec_buffer);
 
   void execute_op(const ir::TxProgram& program, std::size_t op_index,
                   ir::TxEnv& env, ExecStats& stats);

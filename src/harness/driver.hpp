@@ -77,9 +77,10 @@ struct DriverConfig {
   /// per Block, not one per object.  The figure benches turn it off
   /// (bench::BenchOptions) to run the paper's one-object-per-round protocol.
   bool batch_reads = true;
-  /// With batch_reads: speculatively prefetch the next Block's independent
-  /// reads in the same round (discarded on partial abort; single-shard
-  /// transactions only).
+  /// With batch_reads: each Block's round also prefetches every later
+  /// Block's reads whose keys are already computable, so a transaction
+  /// keyed by its parameters reads in one round (discarded on partial
+  /// abort; both the single-shard and the cross-shard path).
   bool prefetch = true;
   /// Pause between a client's transactions (emulates more client machines
   /// than threads, or TPC-C keying/think time).  Zero = closed loop.

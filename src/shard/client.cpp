@@ -230,16 +230,14 @@ void Client::run_cross_shard(Protocol protocol, const acn::RunOptions& options,
     // the whole program as one window otherwise (kFlat/kCheckpoint carry
     // no block structure — cross-shard they restart in full).
     std::vector<std::vector<std::size_t>> blocks;
-    // fetch_plan[i]: Block i's remote reads whose keys are known at Block
-    // entry, fetched there in one read_many round per serving group.
-    std::vector<std::vector<std::size_t>> fetch_plan;
+    // The key-known reads, fetched at Block entry in one read_many round
+    // per serving group (with prefetch, every later Block's too).
+    std::vector<PlannedRead> read_plan;
     if (resolved.sequence != nullptr) {
       blocks.reserve(resolved.sequence->size());
       for (const Block& block : *resolved.sequence)
         blocks.push_back(block_ops(block, *resolved.model));
-      if (options.batch_reads)
-        for (const auto& ops : blocks)
-          fetch_plan.push_back(batchable_remote_ops(program, ops));
+      if (options.batch_reads) read_plan = plan_reads(program, blocks);
     } else {
       std::vector<std::size_t>& all = blocks.emplace_back(program.ops.size());
       std::iota(all.begin(), all.end(), std::size_t{0});
@@ -248,6 +246,7 @@ void Client::run_cross_shard(Protocol protocol, const acn::RunOptions& options,
     ShardTx tx = coordinator_.begin(predicted);
     ShardTxBackend backend(tx);
     ir::TxEnv env(backend, program, params);
+    acn::ReadPipeline reads(program, read_plan, options.prefetch, config_.obs);
     try {
       for (std::size_t position = 0; position < blocks.size(); ++position) {
         const std::size_t slot =
@@ -261,20 +260,15 @@ void Client::run_cross_shard(Protocol protocol, const acn::RunOptions& options,
         for (;;) {
           ++stats.blocks_executed;
           try {
-            // After the checkpoint: a stale batched key is this Block's read
-            // and rolls back only this Block.
-            if (!fetch_plan.empty() && !fetch_plan[position].empty()) {
-              std::vector<store::ObjectKey> keys;
-              keys.reserve(fetch_plan[position].size());
-              for (const std::size_t op : fetch_plan[position])
-                keys.push_back(program.ops[op].remote.key_fn(env));
-              tx.read_many(keys);
-            }
+            // After the checkpoint: a stale batched or adopted key is this
+            // Block's read and rolls back only this Block.
+            reads.enter(position, env, tx);
             for (const std::size_t op : blocks[position])
               execute_op(program, op, env, stats);
             break;
           } catch (const dtm::TxAbort& abort) {
             ++stats.aborts_in_execution;
+            reads.discard();
             // Partial iff rolling this window back discards every stale
             // read: each invalidated key must be unseen before the window
             // (absent from the checkpoint's read-set).  This is the

@@ -19,8 +19,10 @@
 //      rollback preserved across shards.  With RunOptions::batch_reads,
 //      the Block's reads whose keys are known at entry are fetched right
 //      after the checkpoint, one read_many round per serving group
-//      (ShardTx::read_many); speculative prefetch of the next Block stays
-//      on the fast path.  Aborts touching earlier Blocks'
+//      (ShardTx::read_many, driven by the same acn::ReadPipeline as the
+//      fast path); with prefetch, that round also fetches every later
+//      Block's computable reads, which each Block adopts (ShardTx::adopt)
+//      after its own checkpoint.  Aborts touching earlier Blocks'
 //      reads, and any commit-phase abort, restart the transaction with
 //      randomized exponential backoff.
 //   4. escalate — predictions are blind to keys produced mid-transaction.

@@ -87,24 +87,55 @@ store::Record ShardTx::read(const store::ObjectKey& key) {
   return outcome.record.value;
 }
 
-void ShardTx::read_many(const std::vector<store::ObjectKey>& keys) {
+std::vector<std::pair<store::ObjectKey, store::VersionedRecord>>
+ShardTx::read_many(const std::vector<store::ObjectKey>& keys,
+                   const std::vector<store::ObjectKey>& speculative) {
   if (state_ != State::kActive)
     throw std::logic_error("ShardTx::read_many on a finished transaction");
-  std::map<std::uint32_t, std::vector<store::ObjectKey>> by_group;
-  for (const auto& key : keys) {
-    if (writes_.count(key) != 0 || reads_.count(key) != 0) continue;
-    std::vector<store::ObjectKey>& group = by_group[serving_group(key)];
-    if (std::find(group.begin(), group.end(), key) == group.end())
-      group.push_back(key);
-  }
-  for (const auto& [group, group_keys] : by_group) {
+  // Per group: the keys to fetch, of which the first `installed` are
+  // installed and the rest returned.
+  struct GroupFetch {
+    std::vector<store::ObjectKey> keys;
+    std::size_t installed = 0;
+  };
+  std::map<std::uint32_t, GroupFetch> by_group;
+  const auto want = [&](const store::ObjectKey& key, bool install) {
+    if (writes_.count(key) != 0 || reads_.count(key) != 0) return;
+    GroupFetch& group = by_group[serving_group(key)];
+    if (std::find(group.keys.begin(), group.keys.end(), key) !=
+        group.keys.end())
+      return;
+    group.keys.push_back(key);
+    if (install) ++group.installed;
+  };
+  for (const auto& key : keys) want(key, true);
+  for (const auto& key : speculative) want(key, false);
+
+  std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> fetched;
+  for (auto& [group, fetch] : by_group) {
     auto outcome =
-        owner_->stub(group).read_many(tx_, group_keys, group_checks(group));
-    for (std::size_t i = 0; i < group_keys.size(); ++i) {
-      reads_.emplace(group_keys[i], std::move(outcome.records[i]));
-      read_groups_.emplace(group_keys[i], group);
+        owner_->stub(group).read_many(tx_, fetch.keys, group_checks(group));
+    for (std::size_t i = 0; i < fetch.keys.size(); ++i) {
+      if (i < fetch.installed) {
+        reads_.emplace(fetch.keys[i], std::move(outcome.records[i]));
+        read_groups_.emplace(fetch.keys[i], group);
+      } else {
+        fetched.emplace_back(std::move(fetch.keys[i]),
+                             std::move(outcome.records[i]));
+      }
     }
   }
+  return fetched;
+}
+
+bool ShardTx::adopt(const store::ObjectKey& key,
+                    const store::VersionedRecord& record) {
+  if (state_ != State::kActive)
+    throw std::logic_error("ShardTx::adopt on a finished transaction");
+  if (writes_.count(key) != 0 || reads_.count(key) != 0) return false;
+  read_groups_.emplace(key, serving_group(key));
+  reads_.emplace(key, record);
+  return true;
 }
 
 void ShardTx::write(const store::ObjectKey& key, store::Record value) {

@@ -88,8 +88,18 @@ class ShardTx {
   /// yet buffered are grouped by serving group, and each group's keys come
   /// back from one QuorumStub::read_many round carrying that group's
   /// incremental-validation checks.  Later read()s of these keys are then
-  /// served locally.  Throws what QuorumStub::read_many throws.
-  void read_many(const std::vector<store::ObjectKey>& keys);
+  /// served locally.  The `speculative` keys ride the same per-group
+  /// rounds, but their records are returned instead of installed, so a
+  /// later Block can adopt() them.  Duplicates and buffered keys are
+  /// skipped.  Throws what QuorumStub::read_many throws.
+  std::vector<std::pair<store::ObjectKey, store::VersionedRecord>> read_many(
+      const std::vector<store::ObjectKey>& keys,
+      const std::vector<store::ObjectKey>& speculative = {});
+
+  /// Install a record a speculative read_many fetched, as if read() had
+  /// gone remote now: it joins its group's validation checks from here on.
+  /// Returns false (installing nothing) when the key is already buffered.
+  bool adopt(const store::ObjectKey& key, const store::VersionedRecord& record);
 
   /// Buffer a write; nothing goes remote until commit().  Writes to
   /// replicated classes are refused (std::logic_error) — the groups'

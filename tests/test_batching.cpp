@@ -400,6 +400,187 @@ TEST(Prefetch, AbortBeforeAdoptionCountsWaste) {
   EXPECT_GE(snapshot.counter("exec.prefetch.hit"), 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Whole-read-set prefetch: every later Block's key-known reads ride the
+// first Block's round.
+
+const ObjectKey kE{5, 0};
+
+/// A cluster seeded with A..E, an executor, and a batched+prefetching run
+/// of `program` under `sequence`.
+struct ReadSetRig {
+  Cluster cluster{fast_config()};
+  obs::Observability obs;
+  ExecStats stats;
+
+  ReadSetRig() {
+    std::int64_t value = 100;
+    for (const ObjectKey& key : {kA, kB, kC, kE}) {
+      workloads::seed_all(cluster.servers(), key, Record{value});
+      value += 100;
+    }
+    cluster.set_obs(&obs);
+  }
+
+  void run(const TxProgram& program, const DependencyModel& model,
+           const BlockSequence& sequence) {
+    auto stub = cluster.make_stub(0);
+    auto config = fast_executor();
+    config.obs = &obs;
+    Executor executor(stub, config, 1);
+    RunOptions options = with_blocks(program, model, sequence);
+    options.batch_reads = true;
+    options.prefetch = true;
+    executor.run(Protocol::kManualCN, options, {}, stats);
+  }
+
+  std::uint64_t counter(const char* name) const {
+    return obs.metrics.snapshot().counter(name);
+  }
+  /// Quorum read rounds: single-key reads plus batched rounds.
+  std::uint64_t read_rounds() const {
+    return counter("rpc.read") + counter("rpc.read.batched");
+  }
+};
+
+/// One Block per unit, checked to have `n` Blocks.
+BlockSequence unit_blocks(const DependencyModel& model, std::size_t n) {
+  BlockSequence sequence = initial_sequence(model);
+  if (sequence.size() != n)
+    throw std::logic_error("unit_blocks: " + describe_sequence(sequence, model));
+  return sequence;
+}
+
+/// `sequence` with its first two Blocks joined.
+BlockSequence merge_first_two(BlockSequence sequence) {
+  auto& first = sequence[0].units;
+  first.insert(first.end(), sequence[1].units.begin(), sequence[1].units.end());
+  sequence.erase(sequence.begin() + 1);
+  return sequence;
+}
+
+auto fixed_key(ObjectKey key) {
+  return [key](const TxEnv&) { return key; };
+}
+
+TEST(ReadSetPrefetch, CleanRunReadsInOneRound) {
+  // Three Blocks, every key from the program alone: Block 0's round
+  // fetches A for itself and B, C for Blocks 1 and 2, which adopt them.
+  ProgramBuilder b("three reads", 0);
+  b.remote_read(1, {}, fixed_key(kA), "read A");
+  b.remote_read(2, {}, fixed_key(kB), "read B");
+  const VarId c = b.remote_read(3, {}, fixed_key(kC), "read C", true);
+  b.local({c}, {c},
+          [c](TxEnv& e) { e.write_object(c, Record{e.geti(c) + 1}); },
+          "bump C");
+  const TxProgram program = b.build();
+  const auto model =
+      build_dependency_model(program, AttachPolicy::kLatestProducer);
+  const BlockSequence sequence = unit_blocks(model, 3);
+
+  ReadSetRig rig;
+  rig.run(program, model, sequence);
+  EXPECT_EQ(rig.stats.commits, 1u);
+  EXPECT_EQ(rig.stats.partial_aborts + rig.stats.full_aborts, 0u);
+  EXPECT_EQ(rig.read_rounds(), 1u);
+  EXPECT_EQ(rig.counter("exec.prefetch.hit"), 2u);
+  EXPECT_EQ(rig.counter("exec.prefetch.waste"), 0u);
+  EXPECT_EQ(workloads::latest_value(rig.cluster.servers(), kC).value,
+            Record{301});
+}
+
+TEST(ReadSetPrefetch, KeyWrittenByEarlierBlockIsServedFromWriteBuffer) {
+  // Block 0 reaches C through a selector it computes (so that read is not
+  // batched) and writes it; Block 2 reads C by a fixed key, which Block 0's
+  // round prefetched before the write.  Block 2 must see the buffered
+  // write (301), not the prefetched record (300), and the record is waste.
+  ProgramBuilder b("write then read", 0);
+  const VarId a = b.remote_read(1, {}, fixed_key(kA), "read A");
+  const VarId sel = b.fresh_var();
+  b.local({a}, {sel}, [a, sel](TxEnv& e) { e.seti(sel, e.geti(a) * 0); },
+          "derive C selector");
+  const VarId c0 = b.remote_read(3, {sel}, fixed_key(kC), "read C via A", true);
+  b.local({c0}, {c0},
+          [c0](TxEnv& e) { e.write_object(c0, Record{e.geti(c0) + 1}); },
+          "C += 1");
+  b.remote_read(2, {}, fixed_key(kB), "read B");
+  const VarId c2 = b.remote_read(3, {}, fixed_key(kC), "read C", true);
+  b.local({c2}, {c2},
+          [c2](TxEnv& e) { e.write_object(c2, Record{e.geti(c2) + 10}); },
+          "C += 10");
+  const TxProgram program = b.build();
+  const auto model =
+      build_dependency_model(program, AttachPolicy::kLatestProducer);
+  // Units: {A, selector} {C via A} {B} {C}.  Block 0 joins the first two,
+  // so the selector is produced inside the Block that reads C through it.
+  const BlockSequence sequence = merge_first_two(unit_blocks(model, 4));
+
+  ReadSetRig rig;
+  rig.run(program, model, sequence);
+  EXPECT_EQ(rig.stats.commits, 1u);
+  EXPECT_EQ(workloads::latest_value(rig.cluster.servers(), kC).value,
+            Record{311});
+  // B was adopted; C was already buffered when its Block started.
+  EXPECT_EQ(rig.counter("exec.prefetch.hit"), 1u);
+  EXPECT_EQ(rig.counter("exec.prefetch.waste"), 1u);
+  EXPECT_EQ(rig.counter("rpc.read.batched"), 1u);  // {A, B, C}
+  EXPECT_EQ(rig.counter("rpc.read"), 1u);          // C via A
+}
+
+TEST(ReadSetPrefetch, KeyWithMidTransactionDepIsFetchedAtItsOwnBlock) {
+  // Block 1 derives E's selector from B, so E's key is unknown until
+  // Block 2 starts: Block 0's round fetches A, B and C, and Block 2's own
+  // round fetches E alone (a one-key round is a plain read).
+  ProgramBuilder b("mid-transaction key", 0);
+  b.remote_read(1, {}, fixed_key(kA), "read A");
+  const VarId bb = b.remote_read(2, {}, fixed_key(kB), "read B");
+  const VarId sel = b.fresh_var();
+  b.local({bb}, {sel}, [bb, sel](TxEnv& e) { e.seti(sel, e.geti(bb) * 0); },
+          "derive E selector");
+  b.remote_read(5, {sel}, fixed_key(kE), "read E");
+  b.remote_read(3, {}, fixed_key(kC), "read C");
+  const TxProgram program = b.build();
+  const auto model =
+      build_dependency_model(program, AttachPolicy::kLatestProducer);
+  // Units: {A} {B, selector} {E} {C}; E and C share the last Block.
+  BlockSequence sequence = unit_blocks(model, 4);
+  sequence[2].units.push_back(sequence[3].units.front());
+  sequence.pop_back();
+  ASSERT_TRUE(sequence_valid(sequence, model));
+
+  ReadSetRig rig;
+  rig.run(program, model, sequence);
+  EXPECT_EQ(rig.stats.commits, 1u);
+  EXPECT_EQ(rig.counter("rpc.read.batched"), 1u);
+  EXPECT_EQ(rig.counter("rpc.read"), 1u);
+  EXPECT_EQ(rig.counter("exec.prefetch.hit"), 2u);  // B and C
+  EXPECT_EQ(rig.counter("exec.prefetch.waste"), 0u);
+}
+
+TEST(ReadSetPrefetch, RecordsPendingAtCommitCountAsWaste) {
+  // Block 2's key function reads state its deps do not declare, and Block
+  // 1 changes that state: the C that Block 0's round prefetched is never
+  // asked for (Block 2 reads E instead) and is still pending at commit.
+  auto flipped = std::make_shared<bool>(false);
+  ProgramBuilder b("undeclared key state", 0);
+  b.remote_read(1, {}, fixed_key(kA), "read A");
+  const VarId bb = b.remote_read(2, {}, fixed_key(kB), "read B");
+  b.local({bb}, {}, [flipped](TxEnv&) { *flipped = true; }, "flip");
+  b.remote_read(
+      3, {}, [flipped](const TxEnv&) { return *flipped ? kE : kC; }, "read X");
+  const TxProgram program = b.build();
+  const auto model =
+      build_dependency_model(program, AttachPolicy::kLatestProducer);
+  const BlockSequence sequence = unit_blocks(model, 3);
+
+  ReadSetRig rig;
+  rig.run(program, model, sequence);
+  EXPECT_EQ(rig.stats.commits, 1u);
+  EXPECT_EQ(rig.counter("exec.prefetch.hit"), 1u);    // B
+  EXPECT_EQ(rig.counter("exec.prefetch.waste"), 1u);  // C, never adopted
+  EXPECT_EQ(rig.read_rounds(), 2u);  // {A, B, C}, then E at Block 2
+}
+
 TEST(RunApi, MissingInputsAreRejected) {
   Cluster cluster(fast_config());
   auto stub = cluster.make_stub(0);

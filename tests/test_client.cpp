@@ -401,9 +401,10 @@ struct BatchedBlockRig {
       sequence[1].units.push_back(u);
   }
 
-  acn::RunOptions options() const {
+  acn::RunOptions options(bool prefetch = false) const {
     acn::RunOptions opts = acn::with_blocks(program, model, sequence);
     opts.batch_reads = true;
+    opts.prefetch = prefetch;
     return opts;
   }
 };
@@ -458,6 +459,77 @@ TEST(Client, StaleBatchedKeyCostsOnlyAPartialBlockRetry) {
   EXPECT_EQ(es.commits, 1u);
   EXPECT_EQ(es.partial_aborts, 1u);
   EXPECT_EQ(es.full_aborts, 0u);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 599);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
+            501);
+}
+
+TEST(Client, CrossShardPrefetchReadsEachGroupOnceForTheKeyKnownReadSet) {
+  BatchedBlockRig rig([] {});
+  obs::Observability obs;
+  rig.cluster.set_obs(&obs);
+  auto config = fast_executor();
+  config.obs = &obs;
+  ClientStats stats;
+  Client client(rig.cluster, rig.router, stats, 0, config, 29);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kManualCN, rig.options(/*prefetch=*/true), {},
+             es);
+
+  EXPECT_EQ(es.commits, 1u);
+  EXPECT_EQ(es.partial_aborts + es.full_aborts, 0u);
+  EXPECT_EQ(stats.cross_shard.load(), 1u);
+  const obs::Snapshot snapshot = obs.metrics.snapshot();
+  // Block 0's round: ids 8, 5, 6 from group 0 and 105, 106 from group 1,
+  // one read_many each.  Block 1 adopts the four prefetched records and
+  // fetches nothing; only id 7, keyed on id 5's value, goes out alone.
+  EXPECT_EQ(snapshot.counter("rpc.read.batched"), 2u);
+  EXPECT_EQ(snapshot.counter("rpc.read"), 1u);
+  EXPECT_EQ(snapshot.counter("exec.prefetch.hit"), 4u);
+  EXPECT_EQ(snapshot.counter("exec.prefetch.waste"), 0u);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 499);
+  EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
+            501);
+}
+
+TEST(Client, StaleAdoptedKeyRollsBackOnlyTheAdoptingBlock) {
+  std::unique_ptr<CrossShardCoordinator> rival;
+  bool fired = false;
+  BatchedBlockRig rig([&] {
+    // Once, after Block 1 adopted the records Block 0 prefetched: a rival
+    // commits id 5.
+    if (fired) return;
+    fired = true;
+    KeyFootprint footprint;
+    footprint.push_back({ObjectKey{1, 5}, true});
+    ShardTx tx = rival->begin(footprint);
+    const Record v = tx.read({1, 5});
+    tx.write({1, 5}, Record{v.fields[0] + 100});
+    tx.commit();
+  });
+  rival = std::make_unique<CrossShardCoordinator>(rig.cluster, rig.router, 9);
+  obs::Observability obs;
+  rig.cluster.set_obs(&obs);
+  auto config = fast_executor();
+  config.obs = &obs;
+  ClientStats stats;
+  Client client(rig.cluster, rig.router, stats, 0, config, 31);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kManualCN, rig.options(/*prefetch=*/true), {},
+             es);
+
+  // Id 5 was fetched in Block 0's round but adopted by Block 1, after its
+  // checkpoint, so the stale record rolls back Block 1 alone.  The retry
+  // fetches Block 1's reads in its own round; id 8 is never read again.
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(es.commits, 1u);
+  EXPECT_EQ(es.partial_aborts, 1u);
+  EXPECT_EQ(es.full_aborts, 0u);
+  const obs::Snapshot snapshot = obs.metrics.snapshot();
+  EXPECT_EQ(snapshot.counter("rpc.read"), 2u);  // id 7, once per attempt
+  EXPECT_EQ(snapshot.counter("rpc.read.batched"), 4u);
+  EXPECT_EQ(snapshot.counter("exec.prefetch.hit"), 4u);
+  EXPECT_EQ(snapshot.counter("exec.prefetch.waste"), 0u);
   EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 599);
   EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
             501);

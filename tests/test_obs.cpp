@@ -585,11 +585,32 @@ TEST(ObsIntegration, FlatVsAcnAbortReasonCounters) {
   const auto flat = harness::run(flat_cluster, flat_bank,
                                  harness::Protocol::kFlat, obs_driver(&obs));
 
+  // The paper's path: one object per quorum round.  On the driver's
+  // default path a Bank transfer's keys all come from its parameters, so
+  // whole-read-set prefetch fetches them in one round at the first Block
+  // and staleness surfaces at prepare — neither a partial abort nor a
+  // single-key rpc.read is left to count.
   harness::Cluster acn_cluster(obs_cluster());
   workloads::Bank acn_bank(bank_config);
   acn_bank.seed(acn_cluster.servers());
+  harness::DriverConfig acn_driver = obs_driver(&obs);
+  acn_driver.batch_reads = false;
   const auto acn = harness::run(acn_cluster, acn_bank,
-                                harness::Protocol::kAcn, obs_driver(&obs));
+                                harness::Protocol::kAcn, acn_driver);
+
+  // The default (batched, prefetching) path: reads go out as read_many
+  // rounds, each timed once.
+  harness::Cluster batched_cluster(obs_cluster());
+  workloads::Bank batched_bank(bank_config);
+  batched_bank.seed(batched_cluster.servers());
+  const auto batched = harness::run(batched_cluster, batched_bank,
+                                    harness::Protocol::kAcn, obs_driver(&obs));
+  EXPECT_EQ(batched.metrics.counter("tx.commit"), batched.stats.commits);
+  EXPECT_GT(batched.metrics.counter("rpc.read.batched"), 0u);
+  const HistogramData* batched_ns =
+      batched.metrics.histogram("rpc.read.batched_ns");
+  ASSERT_NE(batched_ns, nullptr);
+  EXPECT_EQ(batched_ns->count(), batched.metrics.counter("rpc.read.batched"));
 
   // Per-run deltas must agree with the executor's own stats.
   EXPECT_EQ(flat.metrics.counter("tx.commit"), flat.stats.commits);
