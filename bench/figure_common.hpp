@@ -112,8 +112,7 @@ struct BenchOptions {
     // The paper's protocol reads one object per quorum round; the batched
     // pipeline (the library default) is opt-in here via --batch-reads /
     // --prefetch, so figure and ablation numbers stay comparable.
-    driver.batch_reads = false;
-    driver.prefetch = false;
+    driver.read_path = ReadPath::kSequential;
   }
 
   /// Parse the shared command-line options (see the header comment for the
@@ -224,11 +223,11 @@ inline BenchOptions BenchOptions::parse(
       continue;
     }
     if (arg == "--batch-reads") {
-      args.driver.batch_reads = true;
+      // Never a downgrade: --prefetch already batches.
+      if (args.driver.read_path == ReadPath::kSequential)
+        args.driver.read_path = ReadPath::kBatched;
     } else if (arg == "--prefetch") {
-      // Prefetching rides the batched round; the flag implies batching.
-      args.driver.batch_reads = true;
-      args.driver.prefetch = true;
+      args.driver.read_path = ReadPath::kPrefetch;
     } else if (arg.rfind("--clients=", 0) == 0)
       args.driver.n_clients = static_cast<std::size_t>(value("--clients="));
     else if (arg.rfind("--intervals=", 0) == 0)

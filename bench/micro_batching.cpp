@@ -44,7 +44,7 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const Options& opt, const std::string& label,
-                    bool batch, bool prefetch) {
+                    ReadPath read_path) {
   harness::ClusterConfig cluster_config;
   cluster_config.n_servers = 10;
   cluster_config.base_latency = std::chrono::nanoseconds{0};
@@ -67,8 +67,7 @@ ModeResult run_mode(const Options& opt, const std::string& label,
   options.program = profile.program.get();
   options.model = &profile.static_model;
   options.sequence = &profile.manual_sequence;
-  options.batch_reads = batch;
-  options.prefetch = prefetch;
+  options.read_path = read_path;
 
   Rng rng(opt.seed);
   ExecStats stats;
@@ -129,9 +128,10 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const auto plain = run_mode(opt, "sequential", false, false);
-    const auto batched = run_mode(opt, "batched", true, false);
-    const auto pipelined = run_mode(opt, "batched+prefetch", true, true);
+    const auto plain = run_mode(opt, "sequential", ReadPath::kSequential);
+    const auto batched = run_mode(opt, "batched", ReadPath::kBatched);
+    const auto pipelined =
+        run_mode(opt, "batched+prefetch", ReadPath::kPrefetch);
 
     std::printf("micro_batching: %zu bank transfers, seed %llu\n", opt.txs,
                 static_cast<unsigned long long>(opt.seed));

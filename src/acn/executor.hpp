@@ -10,28 +10,30 @@
 //                             executes as a closed-nested transaction,
 //                             partial aborts retry the Block only.
 //   * Protocol::kAcn        — QR-ACN: like kManualCN, but the sequence comes
-//                             from the AdaptiveController at every attempt,
-//                             so the transaction always runs the most recent
-//                             composition.
+//                             from the AdaptiveController, read once when
+//                             the run starts, so each transaction runs the
+//                             most recent composition.
 //   * Protocol::kCheckpoint — QR-CKPT: checkpoint-based partial rollback
 //                             (the Section III alternative to nesting).
 //
-// RunOptions also switches on the batched read pipeline (ReadPipeline):
-// with batch_reads, the remote accesses of a Block whose key dependencies
-// are satisfied at Block entry are fetched through ONE read_many quorum
-// round instead of N sequential reads; with prefetch, the same round also
-// fetches every later Block's reads whose keys are already computable, so
-// a transaction whose keys all come from its parameters reads in one
-// round.  Prefetched records are adopted when their own Block starts (or
-// discarded, if a partial abort intervenes — prefetch never weakens the
-// partial-rollback classification, because adopted reads live in the
-// adopting Block's own frame).
+// RunOptions::read_path also switches on the batched read pipeline
+// (ReadPipeline): with kBatched, the remote accesses of a Block whose key
+// dependencies are satisfied at Block entry are fetched through ONE
+// read_many quorum round instead of N sequential reads; with kPrefetch,
+// the same round also fetches every later Block's reads whose keys are
+// already computable, so a transaction whose keys all come from its
+// parameters reads in one round.  Prefetched records are adopted when
+// their own Block starts (or discarded, if a partial abort intervenes —
+// prefetch never weakens the partial-rollback classification, because
+// adopted reads live in the adopting Block's own frame).
 //
-// Partial rollback mechanics: before a Block starts, the executor snapshots
-// the variable environment; a partial abort pops the nested frame (discarding
-// the Block's read/write-set entries), restores the snapshot and re-executes
-// just that Block.  An abort touching merged history escalates to a full
-// restart with randomized exponential backoff.
+// Partial rollback mechanics (TxLoop, shared with shard::Client's
+// cross-shard path): before a Block starts, the loop snapshots the
+// variable environment and opens the Block's rollback point; a partial
+// abort rolls the transaction back to that point (here: pops the nested
+// frame, discarding the Block's read/write-set entries), restores the
+// snapshot and re-executes just that Block.  An abort touching merged
+// history escalates to a full restart with randomized exponential backoff.
 #pragma once
 
 #include <algorithm>
@@ -45,6 +47,8 @@
 #include "src/acn/controller.hpp"
 #include "src/acn/footprint.hpp"
 #include "src/acn/txir.hpp"
+#include "src/common/clock.hpp"
+#include "src/common/rng.hpp"
 
 namespace acn {
 
@@ -124,6 +128,21 @@ struct ExecutorConfig {
   obs::Observability* obs = nullptr;
 };
 
+/// How a run fetches its Blocks' remote reads.  Only kManualCN/kAcn runs
+/// use it: flat and checkpointed execution has no Block structure to
+/// exploit and always reads one object per round.
+enum class ReadPath {
+  /// One quorum round per remote read, as the paper's protocols do.
+  kSequential,
+  /// A Block's reads whose keys are known at its entry come back from one
+  /// read_many round (per group, on the cross-shard path).
+  kBatched,
+  /// kBatched, and every Block's round also fetches the reads of all later
+  /// Blocks whose keys are already computable; each record waits for its
+  /// own Block, and a partial abort discards what is still waiting.
+  kPrefetch,
+};
+
 /// Inputs of one run() call.  Which fields are required depends on the
 /// protocol: program for kFlat/kCheckpoint; program+model+sequence for
 /// kManualCN; controller for kAcn (see the with_* builders below).  The
@@ -133,17 +152,7 @@ struct RunOptions {
   const DependencyModel* model = nullptr;
   const BlockSequence* sequence = nullptr;
   AdaptiveController* controller = nullptr;
-  /// Fetch a Block's independent remote reads through one batched quorum
-  /// round (kManualCN/kAcn; flat and checkpointed execution has no Block
-  /// structure to exploit and ignores it).
-  bool batch_reads = false;
-  /// With batch_reads: every Block's round also fetches the reads of all
-  /// later Blocks whose keys are already computable; each record waits for
-  /// its own Block, and a partial abort discards what is still waiting.
-  bool prefetch = false;
-  /// When set, replaces the executor's construction-time config (retry
-  /// caps, backoff, obs pointer, monitor, history) for this run only.
-  const ExecutorConfig* config_override = nullptr;
+  ReadPath read_path = ReadPath::kSequential;
   /// When set, the run is gated through the contention-aware scheduler:
   /// admit(predicted_footprint) before the first attempt, on_full_abort on
   /// every full abort, finish when the run ends either way.  The gate is
@@ -177,7 +186,7 @@ inline RunOptions with_blocks(const ir::TxProgram& program,
   return options;
 }
 
-/// kAcn inputs: the sequence comes from the controller at every attempt.
+/// kAcn inputs: the sequence comes from the controller when the run starts.
 inline RunOptions with_controller(AdaptiveController& controller) {
   RunOptions options;
   options.controller = &controller;
@@ -193,8 +202,8 @@ inline RunOptions with_controller(AdaptiveController& controller) {
 /// went stale still aborts only that Block.  Every prefetched record ends
 /// as exec.prefetch.hit (adopted) or exec.prefetch.waste (already buffered
 /// at adoption, dropped by discard(), or still pending when the pipeline
-/// dies with its attempt).  Executor and shard::Client share it; `Backend`
-/// provides
+/// dies with its attempt).  TxLoop runs one per attempt, with the attempt
+/// as `Backend`, which provides
 ///   Records read_many(const std::vector<ObjectKey>& own,
 ///                     const std::vector<ObjectKey>& ahead)
 ///     — one round: install `own` (skipping buffered keys) and return the
@@ -286,6 +295,223 @@ void ReadPipeline::enter(std::size_t position, const ir::TxEnv& env,
     pending_.emplace(std::move(key), std::move(record));
 }
 
+/// What one run executes, resolved once per run from its RunOptions.
+struct RunPlan {
+  const ir::TxProgram* program = nullptr;
+  /// Each Block's ops in execution order (kManualCN; kAcn: the controller's
+  /// composition when the run started).  Empty for kFlat and kCheckpoint,
+  /// which run the program as one window with no Block rollback point.
+  std::vector<std::vector<std::size_t>> blocks;
+  /// The Blocks' key-known reads (plan_reads); empty under kSequential.
+  std::vector<PlannedRead> reads;
+  bool prefetch = false;      // ReadPath::kPrefetch
+  bool checkpointed = false;  // kCheckpoint (Executor only; cross-shard it
+                              // runs like kFlat)
+};
+
+/// Resolve `options` for `protocol`.  Throws std::invalid_argument when
+/// `options` lacks the protocol's inputs.
+RunPlan resolve(Protocol protocol, const RunOptions& options);
+
+/// Run op `op_index` of `program` in `env` and count it in `stats`.
+inline void execute_op(const ir::TxProgram& program, std::size_t op_index,
+                       ir::TxEnv& env, ExecStats& stats) {
+  ++stats.ops_executed;
+  const ir::Op& op = program.ops[op_index];
+  if (op.is_remote())
+    env.run_remote(op.remote);
+  else
+    op.local.fn(env);
+}
+
+/// Sleep base * 2^min(step, 6), plus up to as much again of random jitter.
+void backoff(std::chrono::nanoseconds base, Rng& rng, int step);
+
+/// Count one abort in obs (tx.abort.partial or tx.abort.full, and its
+/// by-reason split) and mark it in the trace; `position` is the Block a
+/// partial abort rolled back.
+void observe_abort(obs::Observability& obs, const dtm::TxAbort& abort,
+                   std::uint64_t tx, bool partial, std::size_t position = 0);
+
+/// The transaction attempt loop of both execution paths: Executor (one
+/// quorum group; a Block is a closed-nested frame of a
+/// nesting::Transaction) and shard::Client's cross-shard path (a Block
+/// rolls back to a ShardTx checkpoint).  It owns the attempt loop and the
+/// Block loop, both retry caps, every ExecStats field, the obs counters,
+/// spans and latency, the SchedulerGate conversation and the backoff.
+/// `Attempt` is one attempt's transaction, built fresh per attempt as
+/// Attempt(source, program, params) from its path's Attempt::Source, and
+/// provides
+///   std::uint64_t id() const;  ir::TxEnv& env();
+///   read_many(own, ahead), adopt(key, record) — the ReadPipeline backend;
+///   void begin_block()  — open the current Block's rollback point;
+///   void end_block()    — the Block ran: fold it into the transaction;
+///   bool roll_back_block(const dtm::TxAbort& abort, bool may_retry)
+///     — classify an abort raised in the Block: when it is partial and
+///       may_retry, roll back to the Block's rollback point and return
+///       true; otherwise return false (a full restart follows);
+///   void commit();
+///   void abort()        — release the attempt after a full abort.
+template <class Attempt>
+class TxLoop {
+ public:
+  using Source = typename Attempt::Source;
+
+  TxLoop(const ExecutorConfig& config, Rng& rng, ExecStats& stats)
+      : config_(config), rng_(rng), stats_(stats) {}
+
+  /// Execute `plan` to commit: the Block loop inside the attempt loop.
+  void run(const Source& source, const RunPlan& plan,
+           const std::vector<ir::Record>& params, SchedulerGate* gate,
+           const KeyFootprint& predicted) {
+    run(source, *plan.program, params, gate, predicted,
+        [&](Attempt& tx) { run_windows(tx, plan); });
+  }
+
+  /// The attempt loop around `body(tx)`, which runs one attempt through its
+  /// commit and throws dtm::TxAbort for a full restart.  `gate` (may be
+  /// null) admits `predicted` before the first attempt and hears every
+  /// full abort and the run's end.  Throws the last dtm::TxAbort when
+  /// max_full_retries is exhausted.
+  template <class Body>
+  void run(const Source& source, const ir::TxProgram& program,
+           const std::vector<ir::Record>& params, SchedulerGate* gate,
+           const KeyFootprint& predicted, Body&& body);
+
+  void backoff(int step) { acn::backoff(config_.backoff_base, rng_, step); }
+
+ private:
+  /// One attempt of `plan`: each Block in turn, or the whole program as one
+  /// window when it has none, then the commit.
+  void run_windows(Attempt& tx, const RunPlan& plan);
+  void run_blocks(Attempt& tx, const RunPlan& plan);
+
+  const ExecutorConfig& config_;
+  Rng& rng_;
+  ExecStats& stats_;
+};
+
+template <class Attempt>
+template <class Body>
+void TxLoop<Attempt>::run(const Source& source, const ir::TxProgram& program,
+                          const std::vector<ir::Record>& params,
+                          SchedulerGate* gate, const KeyFootprint& predicted,
+                          Body&& body) {
+  // finish() on every exit path; the default outcome covers non-TxAbort
+  // exceptions too (e.g. an escalating dtm::ObjectMissing).
+  struct GateGuard {
+    SchedulerGate* gate;
+    TxOutcome outcome = TxOutcome::kUnavailable;
+    ~GateGuard() {
+      if (gate) gate->finish(outcome);
+    }
+  } guard{gate};
+  if (gate) gate->admit(predicted);
+
+  obs::Observability* const o = config_.obs;
+  const Stopwatch tx_watch;
+  for (int attempt = 0;; ++attempt) {
+    Attempt tx(source, program, params);
+    obs::Tracer::Span tx_span;
+    if (o)
+      tx_span.restart(&o->tracer, "tx", "tx", tx.id(), "attempt", attempt);
+    try {
+      body(tx);
+      ++stats_.commits;
+      if (o) {
+        o->tx_commits.add();
+        o->tx_latency_ns.observe(tx_watch.elapsed_ns());
+      }
+      guard.outcome = TxOutcome::kCommitted;
+      return;
+    } catch (const dtm::TxAbort& abort) {
+      tx.abort();
+      ++stats_.full_aborts;
+      if (abort.kind() == dtm::AbortKind::kBusy) ++stats_.aborts_busy;
+      if (gate) gate->on_full_abort(outcome_of(abort), abort.invalid());
+      if (o) observe_abort(*o, abort, tx.id(), /*partial=*/false);
+      if (attempt >= config_.max_full_retries) {
+        guard.outcome = outcome_of(abort);
+        throw;
+      }
+      backoff(attempt);
+    }
+  }
+}
+
+template <class Attempt>
+void TxLoop<Attempt>::run_windows(Attempt& tx, const RunPlan& plan) {
+  const ir::TxProgram& program = *plan.program;
+  ir::TxEnv& env = tx.env();
+  if (plan.blocks.empty()) {
+    try {
+      for (std::size_t op = 0; op < program.ops.size(); ++op)
+        execute_op(program, op, env, stats_);
+    } catch (const dtm::TxAbort&) {
+      ++stats_.aborts_in_execution;
+      throw;
+    }
+  } else {
+    run_blocks(tx, plan);
+  }
+  try {
+    tx.commit();
+  } catch (const dtm::TxAbort&) {
+    ++stats_.aborts_at_commit;
+    throw;
+  }
+}
+
+template <class Attempt>
+void TxLoop<Attempt>::run_blocks(Attempt& tx, const RunPlan& plan) {
+  const ir::TxProgram& program = *plan.program;
+  ir::TxEnv& env = tx.env();
+  obs::Observability* const o = config_.obs;
+  ReadPipeline reads(program, plan.reads, plan.prefetch, o);
+  for (std::size_t position = 0; position < plan.blocks.size(); ++position) {
+    const std::size_t slot = std::min(position, ExecStats::kPositionSlots - 1);
+    const ir::TxEnv::Snapshot snapshot = env.snapshot();
+    int partial_attempts = 0;
+    for (;;) {
+      ++stats_.blocks_executed;
+      obs::Tracer::Span block_span;
+      obs::ScopedLatency block_latency;
+      if (o) {
+        o->blocks_executed.add();
+        block_span.restart(&o->tracer, "block", "block", tx.id(), "position",
+                           static_cast<std::int64_t>(position));
+        block_latency.arm(o->block_latency_ns);
+      }
+      tx.begin_block();
+      try {
+        // After the rollback point: a stale batched or adopted record is
+        // this Block's read and rolls back only this Block.
+        reads.enter(position, env, tx);
+        for (const std::size_t op : plan.blocks[position])
+          execute_op(program, op, env, stats_);
+        tx.end_block();
+        break;
+      } catch (const dtm::TxAbort& abort) {
+        ++stats_.aborts_in_execution;
+        // Records prefetched for later Blocks ride on a snapshot that just
+        // proved stale: drop them; the retry (or the restart) fetches again.
+        reads.discard();
+        if (!tx.roll_back_block(
+                abort, partial_attempts < config_.max_partial_retries)) {
+          ++stats_.fulls_at_position[slot];
+          throw;  // escalate to a full restart
+        }
+        ++stats_.partial_aborts;
+        ++stats_.partials_at_position[slot];
+        ++partial_attempts;
+        if (o) observe_abort(*o, abort, tx.id(), /*partial=*/true, position);
+        env.restore(snapshot);
+        if (abort.kind() == dtm::AbortKind::kBusy) backoff(partial_attempts);
+      }
+    }
+  }
+}
+
 class Executor {
  public:
   Executor(dtm::QuorumStub& stub, ExecutorConfig config, std::uint64_t seed);
@@ -297,29 +523,17 @@ class Executor {
   void run(Protocol protocol, const RunOptions& options,
            const std::vector<ir::Record>& params, ExecStats& stats);
 
+  /// run() over an already resolved plan; `gate` (may be null) admits
+  /// `predicted`.  shard::Client resolves each transaction once, for
+  /// routing, and hands single-shard ones here.
+  void run(const RunPlan& plan, SchedulerGate* gate,
+           const KeyFootprint& predicted,
+           const std::vector<ir::Record>& params, ExecStats& stats);
+
  private:
-  void run_flat_impl(const ir::TxProgram& program,
-                     const std::vector<ir::Record>& params, ExecStats& stats);
-  void run_blocks_impl(const ir::TxProgram& program,
-                       const DependencyModel& model,
-                       const BlockSequence& sequence, const RunOptions& options,
-                       const std::vector<ir::Record>& params, ExecStats& stats);
-  void run_checkpointed_impl(const ir::TxProgram& program,
-                             const std::vector<ir::Record>& params,
-                             ExecStats& stats);
-
-  void execute_op(const ir::TxProgram& program, std::size_t op_index,
-                  ir::TxEnv& env, ExecStats& stats);
-  void arm_env(ir::TxEnv& env);  // history log + contention piggyback
-  void backoff(int attempt);
-  /// Report one full abort to obs and to the scheduler gate, if armed.
-  void note_full_abort(const dtm::TxAbort& abort, std::uint64_t tx);
-
   dtm::QuorumStub& stub_;
   ExecutorConfig config_;
   Rng rng_;
-  /// The active run's scheduler gate (null between runs / when unused).
-  SchedulerGate* gate_ = nullptr;
 };
 
 }  // namespace acn

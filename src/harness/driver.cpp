@@ -149,8 +149,7 @@ RunResult run(Cluster& cluster, const workloads::Workload& workload,
       std::vector<RunOptions> profile_options(profiles.size());
       for (std::size_t p = 0; p < profiles.size(); ++p) {
         RunOptions& options = profile_options[p];
-        options.batch_reads = config.batch_reads;
-        options.prefetch = config.prefetch;
+        options.read_path = config.read_path;
         if (scheduler) options.scheduler = &scheduler->session(t);
         switch (protocol) {
           case Protocol::kFlat:

@@ -71,17 +71,15 @@ struct DriverConfig {
   /// QR-ACN contention feed: false = explicit quorum query per adaptation
   /// tick; true = levels piggybacked on every read RPC (Section V-C2).
   bool piggyback_contention = false;
-  /// Batched read path: fetch each Block's independent remote reads in one
-  /// read_many quorum round per group (kManualCN/kAcn; other protocols
-  /// ignore it).  On by default: the store's submission path pays one round
-  /// per Block, not one per object.  The figure benches turn it off
-  /// (bench::BenchOptions) to run the paper's one-object-per-round protocol.
-  bool batch_reads = true;
-  /// With batch_reads: each Block's round also prefetches every later
-  /// Block's reads whose keys are already computable, so a transaction
-  /// keyed by its parameters reads in one round (discarded on partial
-  /// abort; both the single-shard and the cross-shard path).
-  bool prefetch = true;
+  /// How Blocks fetch their reads (kManualCN/kAcn; other protocols read
+  /// one object per round).  kPrefetch by default: each Block's independent
+  /// reads come back from one read_many round per group, which also
+  /// fetches every later Block's reads whose keys are already computable,
+  /// so a transaction keyed by its parameters reads in one round (on both
+  /// the single-shard and the cross-shard path).  The figure benches use
+  /// kSequential (bench::BenchOptions) to run the paper's
+  /// one-object-per-round protocol.
+  ReadPath read_path = ReadPath::kPrefetch;
   /// Pause between a client's transactions (emulates more client machines
   /// than threads, or TPC-C keying/think time).  Zero = closed loop.
   std::chrono::nanoseconds think_time{0};

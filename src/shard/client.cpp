@@ -1,87 +1,79 @@
 #include "src/shard/client.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <numeric>
-#include <stdexcept>
-#include <thread>
+#include <utility>
 
 namespace acn::shard {
 namespace {
 
-void require(bool present, const char* what) {
-  if (!present)
-    throw std::invalid_argument(std::string("shard::Client::run: missing ") +
-                                what);
-}
-
-/// ir::TxBackend over a ShardTx: the adapter that lets unmodified
-/// TxPrograms execute on the cross-shard path.
-class ShardTxBackend final : public ir::TxBackend {
+/// One attempt for acn::TxLoop on the cross-shard path: a ShardTx whose
+/// Blocks roll back to checkpoints of its buffered read/write-sets.  An
+/// abort is partial iff rolling the Block back discards every stale read:
+/// each invalidated key must be unseen before the Block (absent from the
+/// checkpoint's read-set).  This is the closed-nesting classification,
+/// computed on buffered state.  As the ir::TxBackend of its environment it
+/// lets unmodified TxPrograms execute on the cross-shard path.
+class ShardAttempt final : public ir::TxBackend {
  public:
-  explicit ShardTxBackend(ShardTx& tx) : tx_(tx) {}
+  struct Source {
+    CrossShardCoordinator& coordinator;
+    const KeyFootprint& predicted;
+    /// False for a run of one window: its checkpoint would be the empty
+    /// transaction, so it restarts in full instead.
+    bool partial_rollback;
+  };
+
+  ShardAttempt(const Source& source, const ir::TxProgram& program,
+               const std::vector<ir::Record>& params)
+      : tx_(source.coordinator.begin(source.predicted)),
+        env_(*this, program, params),
+        partial_rollback_(source.partial_rollback) {}
+  ShardAttempt(const ShardAttempt&) = delete;  // env_ points at *this
+  ShardAttempt& operator=(const ShardAttempt&) = delete;
+
+  std::uint64_t id() const { return tx_.id(); }
+  ir::TxEnv& env() { return env_; }
 
   ir::Record read(const ir::ObjectKey& key) override { return tx_.read(key); }
-
   void write(const ir::ObjectKey& key, ir::Record value) override {
     tx_.write(key, std::move(value));
   }
-
   void insert(const ir::ObjectKey& key, ir::Record value) override {
     // Prepare validates read checks only, never write versions, so a
     // buffered write with no prior read IS a blind insert here.
     tx_.write(key, std::move(value));
   }
 
- private:
-  ShardTx& tx_;
-};
-
-/// The program (plus block structure, when the protocol has one) a run
-/// executes.  For kAcn the plan snapshot keeps model/sequence alive.
-struct Resolved {
-  const ir::TxProgram* program = nullptr;
-  std::shared_ptr<const Plan> plan;
-  const DependencyModel* model = nullptr;
-  const BlockSequence* sequence = nullptr;
-};
-
-Resolved resolve(Protocol protocol, const acn::RunOptions& options) {
-  Resolved out;
-  switch (protocol) {
-    case Protocol::kFlat:
-    case Protocol::kCheckpoint:
-      require(options.program != nullptr, "program");
-      out.program = options.program;
-      break;
-    case Protocol::kManualCN:
-      require(options.program != nullptr, "program (kManualCN)");
-      require(options.model != nullptr, "model (kManualCN)");
-      require(options.sequence != nullptr, "sequence (kManualCN)");
-      out.program = options.program;
-      out.model = options.model;
-      out.sequence = options.sequence;
-      break;
-    case Protocol::kAcn:
-      require(options.controller != nullptr, "controller (kAcn)");
-      out.plan = options.controller->plan();
-      out.program = &options.controller->algorithm().program();
-      out.model = &out.plan->model;
-      out.sequence = &out.plan->sequence;
-      break;
+  acn::ReadPipeline::Records read_many(
+      const std::vector<ir::ObjectKey>& own,
+      const std::vector<ir::ObjectKey>& ahead) {
+    return tx_.read_many(own, ahead);
   }
-  return out;
-}
 
-void execute_op(const ir::TxProgram& program, std::size_t op_index,
-                ir::TxEnv& env, acn::ExecStats& stats) {
-  ++stats.ops_executed;
-  const ir::Op& op = program.ops[op_index];
-  if (op.is_remote())
-    env.run_remote(op.remote);
-  else
-    op.local.fn(env);
-}
+  bool adopt(const ir::ObjectKey& key, const store::VersionedRecord& record) {
+    return tx_.adopt(key, record);
+  }
+
+  void begin_block() {
+    if (partial_rollback_) point_ = tx_.checkpoint();
+  }
+  void end_block() {}
+  bool roll_back_block(const dtm::TxAbort& abort, bool may_retry) {
+    if (!partial_rollback_ || !may_retry) return false;
+    for (const auto& key : abort.invalid())
+      if (point_.reads.count(key) != 0) return false;
+    tx_.restore(std::move(point_));
+    return true;
+  }
+
+  void commit() { tx_.commit(); }  // reclassify, then fast path or 2PC
+  void abort() { tx_.abort(); }    // no-op once commit() finished the handle
+
+ private:
+  ShardTx tx_;
+  ir::TxEnv env_;
+  bool partial_rollback_;
+  ShardTx::Checkpoint point_;
+};
 
 }  // namespace
 
@@ -138,18 +130,10 @@ Client::~Client() {
       std::memory_order_relaxed);
 }
 
-void Client::backoff(int attempt) {
-  const auto base = config_.backoff_base.count();
-  const std::int64_t shifted = base << std::min(attempt, 6);
-  const std::int64_t jitter = static_cast<std::int64_t>(
-      rng_.uniform(0, static_cast<std::uint64_t>(shifted)));
-  std::this_thread::sleep_for(std::chrono::nanoseconds{shifted + jitter});
-}
-
 void Client::run(Protocol protocol, const acn::RunOptions& options,
                  const std::vector<acn::ir::Record>& params,
                  acn::ExecStats& stats) {
-  const Resolved resolved = resolve(protocol, options);
+  const acn::RunPlan resolved = acn::resolve(protocol, options);
   const KeyFootprint predicted =
       predicted_footprint(*resolved.program, params);
 
@@ -182,7 +166,8 @@ void Client::run(Protocol protocol, const acn::RunOptions& options,
     try {
       // The pre-sharding path, verbatim: full partial-rollback machinery,
       // admission gating inside Executor::run, one group involved.
-      executors_.at(home)->run(protocol, options, params, stats);
+      executors_.at(home)->run(resolved, options.scheduler, predicted, params,
+                               stats);
       router_.note_commit(plan);
       return;
     } catch (const dtm::ObjectMissing& missing) {
@@ -198,126 +183,15 @@ void Client::run(Protocol protocol, const acn::RunOptions& options,
     }
   }
 
+  // The cross-shard path: the same TxLoop over a ShardTx, with cross-shard
+  // 2PC at commit.  On an escalation the fast path's gate already finished
+  // (the ObjectMissing escaped Executor::run); this run admits again.
   stats_.cross_shard.fetch_add(1, std::memory_order_relaxed);
-  run_cross_shard(protocol, options, params, predicted, stats);
+  const ShardAttempt::Source source{coordinator_, predicted,
+                                    resolved.blocks.size() > 1};
+  acn::TxLoop<ShardAttempt>(config_, rng_, stats)
+      .run(source, resolved, params, options.scheduler, predicted);
   stats_.cross_commits.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Client::run_cross_shard(Protocol protocol, const acn::RunOptions& options,
-                             const std::vector<acn::ir::Record>& params,
-                             const KeyFootprint& predicted,
-                             acn::ExecStats& stats) {
-  // The same gate conversation Executor::run has, so admission control is
-  // uniform across paths.  On an escalation the fast path's gate already
-  // finished (the ObjectMissing escaped Executor::run); this re-admits.
-  acn::SchedulerGate* const gate = options.scheduler;
-  struct GateGuard {
-    acn::SchedulerGate* gate;
-    acn::TxOutcome outcome = acn::TxOutcome::kUnavailable;
-    ~GateGuard() {
-      if (gate) gate->finish(outcome);
-    }
-  } guard{gate};
-  if (gate) gate->admit(predicted);
-
-  for (int attempt = 0;; ++attempt) {
-    // Re-resolve per attempt: under kAcn the controller may have published
-    // a new composition between restarts (same contract as Executor::run).
-    const Resolved resolved = resolve(protocol, options);
-    const ir::TxProgram& program = *resolved.program;
-
-    // Execution windows: the Block Sequence where the protocol has one,
-    // the whole program as one window otherwise (kFlat/kCheckpoint carry
-    // no block structure — cross-shard they restart in full).
-    std::vector<std::vector<std::size_t>> blocks;
-    // The key-known reads, fetched at Block entry in one read_many round
-    // per serving group (with prefetch, every later Block's too).
-    std::vector<PlannedRead> read_plan;
-    if (resolved.sequence != nullptr) {
-      blocks.reserve(resolved.sequence->size());
-      for (const Block& block : *resolved.sequence)
-        blocks.push_back(block_ops(block, *resolved.model));
-      if (options.batch_reads) read_plan = plan_reads(program, blocks);
-    } else {
-      std::vector<std::size_t>& all = blocks.emplace_back(program.ops.size());
-      std::iota(all.begin(), all.end(), std::size_t{0});
-    }
-
-    ShardTx tx = coordinator_.begin(predicted);
-    ShardTxBackend backend(tx);
-    ir::TxEnv env(backend, program, params);
-    acn::ReadPipeline reads(program, read_plan, options.prefetch, config_.obs);
-    try {
-      for (std::size_t position = 0; position < blocks.size(); ++position) {
-        const std::size_t slot =
-            std::min(position, acn::ExecStats::kPositionSlots - 1);
-        // Block-level partial rollback across shards: checkpoint the
-        // buffered read/write-sets and the variable frame, retry just this
-        // window when an abort is confined to it.
-        const ShardTx::Checkpoint point = tx.checkpoint();
-        const ir::TxEnv::Snapshot snapshot = env.snapshot();
-        int partial_attempts = 0;
-        for (;;) {
-          ++stats.blocks_executed;
-          try {
-            // After the checkpoint: a stale batched or adopted key is this
-            // Block's read and rolls back only this Block.
-            reads.enter(position, env, tx);
-            for (const std::size_t op : blocks[position])
-              execute_op(program, op, env, stats);
-            break;
-          } catch (const dtm::TxAbort& abort) {
-            ++stats.aborts_in_execution;
-            reads.discard();
-            // Partial iff rolling this window back discards every stale
-            // read: each invalidated key must be unseen before the window
-            // (absent from the checkpoint's read-set).  This is the
-            // closed-nesting classification, computed on buffered state.
-            bool partial = blocks.size() > 1 &&
-                           partial_attempts < config_.max_partial_retries;
-            if (partial) {
-              for (const auto& key : abort.invalid()) {
-                if (point.reads.count(key) != 0) {
-                  partial = false;
-                  break;
-                }
-              }
-            }
-            if (!partial) {
-              ++stats.fulls_at_position[slot];
-              throw;  // escalate to a full restart
-            }
-            ++stats.partial_aborts;
-            ++stats.partials_at_position[slot];
-            ++partial_attempts;
-            tx.restore(point);     // lvalues: restore/env keep the originals
-            env.restore(snapshot); // usable for the next partial retry
-            if (abort.kind() == dtm::AbortKind::kBusy)
-              backoff(partial_attempts);
-          }
-        }
-      }
-      try {
-        tx.commit();  // reclassify + fast path or 2PC, per actual keys
-      } catch (const dtm::TxAbort&) {
-        ++stats.aborts_at_commit;
-        throw;
-      }
-      ++stats.commits;
-      guard.outcome = acn::TxOutcome::kCommitted;
-      return;
-    } catch (const dtm::TxAbort& abort) {
-      tx.abort();  // no-op when commit() already finished the handle
-      ++stats.full_aborts;
-      if (abort.kind() == dtm::AbortKind::kBusy) ++stats.aborts_busy;
-      if (gate) gate->on_full_abort(acn::outcome_of(abort), abort.invalid());
-      if (attempt >= config_.max_full_retries) {
-        guard.outcome = acn::outcome_of(abort);
-        throw;
-      }
-      backoff(attempt);
-    }
-  }
 }
 
 namespace {

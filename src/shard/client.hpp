@@ -11,20 +11,23 @@
 //      Executor::run, unchanged: full ACN partial rollback, batched reads,
 //      checkpointing, everything the unsharded path has.  No other group
 //      hears about the transaction.
-//   3. multi-shard plan — execute the program block by block over a
-//      ShardTx (cross-shard 2PC at commit).  Before each Block the Client
-//      checkpoints the ShardTx and the variable environment; an execution
-//      abort whose invalidated keys are all confined to the current Block
-//      rolls back to the checkpoint and retries the Block — partial
-//      rollback preserved across shards.  With RunOptions::batch_reads,
-//      the Block's reads whose keys are known at entry are fetched right
-//      after the checkpoint, one read_many round per serving group
-//      (ShardTx::read_many, driven by the same acn::ReadPipeline as the
-//      fast path); with prefetch, that round also fetches every later
-//      Block's computable reads, which each Block adopts (ShardTx::adopt)
-//      after its own checkpoint.  Aborts touching earlier Blocks'
-//      reads, and any commit-phase abort, restart the transaction with
-//      randomized exponential backoff.
+//   3. multi-shard plan — execute the program over a ShardTx (cross-shard
+//      2PC at commit) through the same acn::TxLoop the Executor runs, so
+//      both paths share one attempt loop, Block loop, retry caps,
+//      ExecStats and obs bookkeeping.  Only the rollback point differs:
+//      before each Block the loop checkpoints the ShardTx and the variable
+//      environment, and an execution abort whose invalidated keys are all
+//      confined to the current Block rolls back to the checkpoint and
+//      retries the Block — partial rollback preserved across shards.  With
+//      RunOptions::read_path kBatched, the Block's reads whose keys are
+//      known at entry are fetched right after the checkpoint, one
+//      read_many round per serving group (ShardTx::read_many, driven by
+//      the same acn::ReadPipeline as the fast path); with kPrefetch, that
+//      round also fetches every later Block's computable reads, which each
+//      Block adopts (ShardTx::adopt) after its own checkpoint.  Aborts
+//      touching earlier Blocks' reads, any commit-phase abort, and any
+//      abort of a kFlat/kCheckpoint run (one window, no Blocks) restart
+//      the transaction with randomized exponential backoff.
 //   4. escalate — predictions are blind to keys produced mid-transaction.
 //      With owner-scoped seeding a mispredicted single-shard transaction
 //      reads a foreign key on its home group and surfaces
@@ -33,12 +36,13 @@
 //      path (a genuinely absent key is re-thrown — that is a workload
 //      bug, not a routing miss).
 //
-// The contention-aware scheduler wraps BOTH paths identically: the fast
-// path gates inside Executor::run as before; the cross-shard interpreter
-// performs the same admit / on_full_abort / finish conversation itself,
-// classifying 2PC aborts with the shared acn::outcome_of.  A scheduler
-// cannot tell the paths apart — which is the point: admission control is a
-// property of the submission API, not of any one execution engine.
+// The contention-aware scheduler wraps BOTH paths identically, because
+// the gate conversation (admit / on_full_abort / finish) lives in
+// acn::TxLoop, and 2PC aborts classify through the shared acn::outcome_of.
+// A scheduler cannot tell the paths apart — which is the point: admission
+// control is a property of the submission API, not of any one execution
+// engine.  An escalated transaction is admitted again for its cross-shard
+// run.
 //
 // ClientFleet is the per-benchmark bundle: it owns the ShardMap (built
 // from the workload's placement), the ShardRouter and the shared
@@ -165,11 +169,6 @@ class Client final : public harness::Submitter {
   }
 
  private:
-  void run_cross_shard(Protocol protocol, const acn::RunOptions& options,
-                       const std::vector<acn::ir::Record>& params,
-                       const KeyFootprint& predicted, acn::ExecStats& stats);
-  void backoff(int attempt);
-
   const ShardRouter& router_;
   ClientStats& stats_;
   acn::ExecutorConfig config_;

@@ -209,8 +209,7 @@ TEST(BatchedExecution, MatchesUnbatchedFinalState) {
   options.program = profile.program.get();
   options.model = &profile.static_model;
   options.sequence = &profile.manual_sequence;
-  options.batch_reads = true;
-  options.prefetch = true;
+  options.read_path = ReadPath::kPrefetch;
   executor.run(Protocol::kManualCN, options, params, stats);
 
   EXPECT_EQ(stats.commits, plain_stats.commits);
@@ -286,8 +285,7 @@ struct PrefetchRig {
     opts.program = &program;
     opts.model = &model;
     opts.sequence = &sequence;
-    opts.batch_reads = batch;
-    opts.prefetch = batch;
+    opts.read_path = batch ? ReadPath::kPrefetch : ReadPath::kSequential;
     return opts;
   }
 };
@@ -386,8 +384,7 @@ TEST(Prefetch, AbortBeforeAdoptionCountsWaste) {
   options.program = &program;
   options.model = &model;
   options.sequence = &sequence;
-  options.batch_reads = true;
-  options.prefetch = true;
+  options.read_path = ReadPath::kPrefetch;
   executor.run(Protocol::kManualCN, options, {}, stats);
 
   // Read D's validation sees the sabotaged A — merged history, so the
@@ -429,8 +426,7 @@ struct ReadSetRig {
     config.obs = &obs;
     Executor executor(stub, config, 1);
     RunOptions options = with_blocks(program, model, sequence);
-    options.batch_reads = true;
-    options.prefetch = true;
+    options.read_path = ReadPath::kPrefetch;
     executor.run(Protocol::kManualCN, options, {}, stats);
   }
 
@@ -594,31 +590,31 @@ TEST(RunApi, MissingInputsAreRejected) {
                std::invalid_argument);
 }
 
-TEST(RunApi, ConfigOverrideAppliesForOneRunOnly) {
-  // A mid-block conflict normally costs one *partial* retry.  Overriding
-  // max_partial_retries to 0 for a single run must turn it into a full
-  // restart — and the very next run must see the constructor config again.
+TEST(RunApi, ZeroPartialRetriesTurnAMidBlockConflictIntoAFullRestart) {
+  // A mid-block conflict normally costs one *partial* retry; with
+  // max_partial_retries = 0 it must restart in full.
   PrefetchRig rig(/*n_fires=*/1, /*sabotage_after_read_b=*/true);
   auto stub = rig.cluster.make_stub(0);
-  Executor executor(stub, fast_executor(), 1);
-
   ExecutorConfig strict = fast_executor();
   strict.max_partial_retries = 0;
-  RunOptions options = rig.options(/*batch=*/false);
-  options.config_override = &strict;
+  Executor strict_executor(stub, strict, 1);
 
   ExecStats stats;
-  executor.run(Protocol::kManualCN, options, {}, stats);
+  strict_executor.run(Protocol::kManualCN, rig.options(/*batch=*/false), {},
+                      stats);
   EXPECT_EQ(stats.commits, 1u);
   EXPECT_EQ(stats.partial_aborts, 0u);
   EXPECT_EQ(stats.full_aborts, 1u);
 
   // Re-arm the saboteur; the default config absorbs it as a partial retry.
   *rig.fires = 1;
-  executor.run(Protocol::kManualCN, rig.options(/*batch=*/false), {}, stats);
-  EXPECT_EQ(stats.commits, 2u);
-  EXPECT_EQ(stats.partial_aborts, 1u);
-  EXPECT_EQ(stats.full_aborts, 1u);
+  Executor executor(stub, fast_executor(), 2);
+  ExecStats default_stats;
+  executor.run(Protocol::kManualCN, rig.options(/*batch=*/false), {},
+               default_stats);
+  EXPECT_EQ(default_stats.commits, 1u);
+  EXPECT_EQ(default_stats.partial_aborts, 1u);
+  EXPECT_EQ(default_stats.full_aborts, 0u);
 }
 
 }  // namespace

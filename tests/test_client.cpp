@@ -172,6 +172,19 @@ class FakeGate final : public acn::SchedulerGate {
   acn::TxOutcome last_outcome = acn::TxOutcome::kBusy;
 };
 
+/// The obs counters of a run agree with its ExecStats: both paths keep
+/// them in the one attempt loop.
+void expect_obs_matches_stats(const obs::Snapshot& snapshot,
+                              const acn::ExecStats& es) {
+  EXPECT_EQ(snapshot.counter("tx.commit"), es.commits);
+  EXPECT_EQ(snapshot.counter("tx.abort.partial"), es.partial_aborts);
+  EXPECT_EQ(snapshot.counter("tx.abort.full"), es.full_aborts);
+  EXPECT_EQ(snapshot.counter("block.executed"), es.blocks_executed);
+  const obs::HistogramData* latency = snapshot.histogram("tx.latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), es.commits);
+}
+
 TEST(Client, SingleShardFastPathNeverTouchesOtherGroups) {
   harness::Cluster cluster(fast_cluster(2));
   const ShardMap map = range_map(2);
@@ -332,8 +345,11 @@ TEST(Client, ManualCnBlocksExecuteAcrossShards) {
   const auto sequence = initial_sequence(model);
   ASSERT_GT(sequence.size(), 1u);
 
+  obs::Observability obs;
+  auto config = fast_executor();
+  config.obs = &obs;
   ClientStats stats;
-  Client client(cluster, router, stats, 0, fast_executor(), 19);
+  Client client(cluster, router, stats, 0, config, 19);
   acn::ExecStats es;
   client.run(harness::Protocol::kManualCN,
              acn::with_blocks(program, model, sequence),
@@ -342,8 +358,39 @@ TEST(Client, ManualCnBlocksExecuteAcrossShards) {
   EXPECT_EQ(es.commits, 1u);
   EXPECT_GE(es.blocks_executed, sequence.size());
   EXPECT_EQ(stats.cross_commits.load(), 1u);
+  expect_obs_matches_stats(obs.metrics.snapshot(), es);
   EXPECT_EQ(latest_sharded(cluster, map, {1, 5}).value.fields[0], 425);
   EXPECT_EQ(latest_sharded(cluster, map, {1, 105}).value.fields[0], 575);
+}
+
+TEST(Client, CrossShardRunsWithoutBlocksCountNone) {
+  // kFlat and kCheckpoint carry no Block structure on either path, so
+  // neither counts a Block (the fast path's kFlat contract).
+  harness::Cluster cluster(fast_cluster(2));
+  const ShardMap map = range_map(2);
+  ShardRouter router(map);
+  seed_sharded(cluster, map, {1, 5}, Record{500});
+  seed_sharded(cluster, map, {1, 105}, Record{500});
+
+  const auto program = transfer_program();
+  obs::Observability obs;
+  auto config = fast_executor();
+  config.obs = &obs;
+  ClientStats stats;
+  Client client(cluster, router, stats, 0, config, 23);
+  acn::ExecStats es;
+  client.run(harness::Protocol::kFlat, acn::with_program(program),
+             {Record{5}, Record{105}}, es);
+  client.run(harness::Protocol::kCheckpoint, acn::with_program(program),
+             {Record{5}, Record{105}}, es);
+
+  EXPECT_EQ(es.commits, 2u);
+  EXPECT_EQ(stats.cross_commits.load(), 2u);
+  EXPECT_EQ(es.blocks_executed, 0u);
+  EXPECT_EQ(es.ops_executed, 2 * program.ops.size());
+  expect_obs_matches_stats(obs.metrics.snapshot(), es);
+  EXPECT_EQ(latest_sharded(cluster, map, {1, 5}).value.fields[0], 350);
+  EXPECT_EQ(latest_sharded(cluster, map, {1, 105}).value.fields[0], 650);
 }
 
 /// Two Blocks on the cross-shard path.  Block 0 reads id 8.  Block 1 reads
@@ -403,8 +450,7 @@ struct BatchedBlockRig {
 
   acn::RunOptions options(bool prefetch = false) const {
     acn::RunOptions opts = acn::with_blocks(program, model, sequence);
-    opts.batch_reads = true;
-    opts.prefetch = prefetch;
+    opts.read_path = prefetch ? ReadPath::kPrefetch : ReadPath::kBatched;
     return opts;
   }
 };
@@ -487,6 +533,7 @@ TEST(Client, CrossShardPrefetchReadsEachGroupOnceForTheKeyKnownReadSet) {
   EXPECT_EQ(snapshot.counter("rpc.read"), 1u);
   EXPECT_EQ(snapshot.counter("exec.prefetch.hit"), 4u);
   EXPECT_EQ(snapshot.counter("exec.prefetch.waste"), 0u);
+  expect_obs_matches_stats(snapshot, es);
   EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 499);
   EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
             501);
@@ -530,6 +577,7 @@ TEST(Client, StaleAdoptedKeyRollsBackOnlyTheAdoptingBlock) {
   EXPECT_EQ(snapshot.counter("rpc.read.batched"), 4u);
   EXPECT_EQ(snapshot.counter("exec.prefetch.hit"), 4u);
   EXPECT_EQ(snapshot.counter("exec.prefetch.waste"), 0u);
+  expect_obs_matches_stats(snapshot, es);
   EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 5}).value.fields[0], 599);
   EXPECT_EQ(latest_sharded(rig.cluster, rig.map, {1, 105}).value.fields[0],
             501);

@@ -594,7 +594,7 @@ TEST(ObsIntegration, FlatVsAcnAbortReasonCounters) {
   workloads::Bank acn_bank(bank_config);
   acn_bank.seed(acn_cluster.servers());
   harness::DriverConfig acn_driver = obs_driver(&obs);
-  acn_driver.batch_reads = false;
+  acn_driver.read_path = ReadPath::kSequential;
   const auto acn = harness::run(acn_cluster, acn_bank,
                                 harness::Protocol::kAcn, acn_driver);
 
